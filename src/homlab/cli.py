@@ -32,6 +32,7 @@ from .logic import (
 from .model import HomologyModel
 from .niveau import (
     SpectralSequence,
+    _invariants_json,
     cellular_complex,
     recover_homology,
     spectral_summary,
@@ -107,11 +108,6 @@ def _filtration(ws, fname: str) -> Filtration:
     return Filtration(base, resolved)
 
 
-def _inv(invariants: tuple) -> list:
-    free, torsion = invariants
-    return [free, list(torsion)]
-
-
 # -- command handlers ----------------------------------------------------------
 
 
@@ -140,7 +136,7 @@ def _cmd_cellular(ws, fname, modulus):
     spec = SpectralSequence(_filtration(ws, fname), modulus)
     cell = cellular_complex(spec)
     degrees = range(spec.top + 1)
-    base_table = [[n, _inv(spec.base_homology(n)[0].iso_invariants())]
+    base_table = [[n, _invariants_json(spec.base_homology(n)[0].iso_invariants())]
                   for n in degrees]
     comparison = None
     ok = cell.is_cellular()
@@ -153,7 +149,7 @@ def _cmd_cellular(ws, fname, modulus):
     results = [{
         "cellular": cell.is_cellular(),
         "offenders": [list(c) for c in cell.offenders],
-        "cellular_homology": [[n, _inv(inv)] for n, inv in
+        "cellular_homology": [[n, _invariants_json(inv)] for n, inv in
                               cell.homology_table()],
         "homology": base_table,
         "comparison_iso": comparison,

@@ -23,7 +23,7 @@ class IntMatrix:
 
     def __init__(self, data: Iterable[Iterable[int]], rows: int | None = None,
                  cols: int | None = None):
-        tup = tuple(tuple(int(v) for v in row) for row in data)
+        tup = tuple(tuple(map(int, row)) for row in data)
         if rows is None:
             rows = len(tup)
         if cols is None:
@@ -63,16 +63,29 @@ class IntMatrix:
                           for j in range(self.cols)], self.cols, self.rows)
 
     def apply(self, vec: Sequence[int]) -> tuple:
+        """Matrix times column vector; only the nonzero entries of `vec`
+        are visited, since the others add zero terms to every sum."""
         if len(vec) != self.cols:
             raise ValueError(f"vector of length {len(vec)} against {self.cols} columns")
-        return tuple(sum(r[j] * vec[j] for j in range(self.cols)) for r in self.data)
+        support = [(j, v) for j, v in enumerate(vec) if v]
+        return tuple(sum(r[j] * v for j, v in support) for r in self.data)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        """Each row of the product sums the rows of `other` picked out by
+        the nonzero entries of the matching row of `self`."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        ot = other.transpose().data
-        return IntMatrix([[sum(a * b for a, b in zip(row, col)) for col in ot]
-                          for row in self.data], self.rows, other.cols)
+        n = other.cols
+        support = [[(k, v) for k, v in enumerate(row) if v] for row in other.data]
+        out = []
+        for row in self.data:
+            acc = [0] * n
+            for a, terms in zip(row, support):
+                if a:
+                    for k, v in terms:
+                        acc[k] += a * v
+            out.append(acc)
+        return IntMatrix(out, self.rows, n)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -192,7 +205,14 @@ def smith(A: IntMatrix) -> SmithDecomposition:
 
     Pivots are chosen as a minimal nonzero absolute value (first such in
     row-major scan order), which keeps intermediate entries small and the
-    output deterministic.
+    output deterministic.  Two shortcuts leave the output unchanged:
+
+    - the pivot scan stops at the first entry with |e| = 1, because no
+      nonzero entry is smaller and a later entry of equal size never
+      replaces an earlier one, so the rule would pick that entry anyway;
+    - when the pivot is p = 1, the scan for an entry of the remaining
+      block not divisible by p is skipped, because every integer is
+      divisible by 1 and the scan could only come back empty.
 
     >>> smith(IntMatrix([[2, 4], [6, 8]])).diagonal()
     (2, 4)
@@ -203,18 +223,15 @@ def smith(A: IntMatrix) -> SmithDecomposition:
     V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def row_sub(i, j, q):  # row_i -= q * row_j
-        Di, Dj = D[i], D[j]
-        Ui, Uj = U[i], U[j]
-        for k in range(n):
-            Di[k] -= q * Dj[k]
-        for k in range(m):
-            Ui[k] -= q * Uj[k]
+        D[i] = [a - q * b for a, b in zip(D[i], D[j])]
+        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
 
-    def col_sub(i, j, q):  # col_i -= q * col_j
-        for r in range(m):
-            D[r][i] -= q * D[r][j]
-        for r in range(n):
-            V[r][i] -= q * V[r][j]
+    def col_sub(i, j, q):  # col_i -= q * col_j; rows with a zero in col_j keep col_i
+        for M in (D, V):
+            for row in M:
+                b = row[j]
+                if b:
+                    row[i] -= q * b
 
     def row_swap(i, j):
         D[i], D[j] = D[j], D[i]
@@ -252,6 +269,10 @@ def smith(A: IntMatrix) -> SmithDecomposition:
                     if best is None or a < best:
                         best = a
                         pivot = (i, j)
+                        if a == 1:
+                            break
+            if best == 1:
+                break
         if pivot is None:
             break
         if pivot[0] != t:
@@ -281,6 +302,8 @@ def smith(A: IntMatrix) -> SmithDecomposition:
                         break
             if dirty:
                 continue
+            if p == 1:
+                break
             # pivot row and column are clear; enforce divisibility of the rest
             bad = None
             for i in range(t + 1, m):
@@ -304,44 +327,62 @@ def rank(A: IntMatrix) -> int:
 
 def solve(A: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
     """One integer solution x of A x = b, or None if there is none."""
-    if len(b) != A.rows:
-        raise ValueError("right-hand side of wrong length")
-    s = smith(A)
-    c = s.U.apply(b)
-    y = [0] * A.cols
-    for i in range(A.rows):
-        d = s.D.data[i][i] if i < A.cols else 0
-        if d:
-            if c[i] % d:
-                return None
-            y[i] = c[i] // d
-        elif c[i]:
-            return None
-    return s.V.apply(y)
+    return LinearSolver(A).solve(b)
+
+
+def _sparse_columns(M: IntMatrix) -> list:
+    """Column j of M as a pair (row indices, entries) of its nonzeros."""
+    cols = [([], []) for _ in range(M.cols)]
+    for i, row in enumerate(M.data):
+        for j, v in enumerate(row):
+            if v:
+                idx, val = cols[j]
+                idx.append(i)
+                val.append(v)
+    return [(tuple(idx), tuple(val)) for idx, val in cols]
 
 
 class LinearSolver:
-    """Repeated exact solves against a fixed matrix, one Smith form."""
+    """Repeated exact solves against a fixed matrix, one Smith form.
+
+    With U A V = D from `smith`, A x = b has the solutions x = V y where
+    D y = U b.  U and V are stored as sparse columns (the nonzero entries
+    of each column) next to the diagonal of D, and the dense
+    decomposition is dropped, so a solve multiplies and adds only the
+    nonzero entries of b and of y.  Only the columns of V facing a
+    nonzero diagonal entry are kept: y is zero everywhere else.
+    """
 
     def __init__(self, A: IntMatrix):
         self.A = A
-        self._s = smith(A)
+        s = smith(A)
+        diag = s.diagonal()
+        vcols = _sparse_columns(s.V)
+        self._diag = diag + (0,) * (A.rows - len(diag))  # one entry per row
+        self._ucols = _sparse_columns(s.U)
+        self._vcols = [vcols[i] if d else None for i, d in enumerate(diag)]
 
     def solve(self, b: Sequence[int]) -> Optional[tuple]:
         if len(b) != self.A.rows:
             raise ValueError("right-hand side of wrong length")
-        s = self._s
-        c = s.U.apply(b)
-        y = [0] * self.A.cols
-        for i in range(self.A.rows):
-            d = s.D.data[i][i] if i < self.A.cols else 0
-            if d:
-                if c[i] % d:
-                    return None
-                y[i] = c[i] // d
-            elif c[i]:
+        c = {}  # U b, on its support
+        for j, bj in enumerate(b):
+            if bj:
+                idx, val = self._ucols[j]
+                for i, u in zip(idx, val):
+                    c[i] = c.get(i, 0) + u * bj
+        x = [0] * self.A.cols
+        for i, ci in c.items():
+            if not ci:
+                continue
+            d = self._diag[i]
+            if not d or ci % d:
                 return None
-        return s.V.apply(y)
+            yi = ci // d
+            idx, val = self._vcols[i]
+            for r, v in zip(idx, val):
+                x[r] += v * yi
+        return tuple(x)
 
 
 def kernel(A: IntMatrix) -> IntMatrix:
@@ -569,12 +610,6 @@ class GroupHom:
 
     def __repr__(self):
         return f"GroupHom({self.source!r} -> {self.target!r})"
-
-
-def hom_direct_sum(homs: Sequence[GroupHom]) -> GroupHom:
-    return GroupHom(direct_sum([h.source for h in homs]),
-                    direct_sum([h.target for h in homs]),
-                    block_diag([h.matrix for h in homs]))
 
 
 def hom_stack(homs: Sequence[GroupHom]) -> GroupHom:

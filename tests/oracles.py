@@ -4,11 +4,17 @@ Everything here is deliberately written against different mathematics
 than the package (minor gcds instead of elimination, Fraction Gaussian
 elimination instead of integer Smith form) so that agreement is evidence,
 not tautology.
+
+The dense_* functions are the package's earlier dense kernels, which visit
+every entry: the sparse-aware kernels that replaced them must agree with
+them exactly.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+
+from homlab.fga import IntMatrix, smith
 
 
 def minor_gcd_invariants(rows):
@@ -84,3 +90,37 @@ def quotient_invariants(ngens, relation_rows):
         return ngens, []
     inv = minor_gcd_invariants(relation_rows)
     return ngens - len(inv), [d for d in inv if d >= 2]
+
+
+def dense_apply(A, vec):
+    """A times vec, summing over every column."""
+    if len(vec) != A.cols:
+        raise ValueError(f"vector of length {len(vec)} against {A.cols} columns")
+    return tuple(sum(r[j] * vec[j] for j in range(A.cols)) for r in A.data)
+
+
+def dense_matmul(A, B):
+    """A @ B as dot products of the rows of A with the columns of B."""
+    if A.cols != B.rows:
+        raise ValueError(f"shape mismatch: {A.rows}x{A.cols} @ {B.rows}x{B.cols}")
+    bt = B.transpose().data
+    return IntMatrix([[sum(a * b for a, b in zip(row, col)) for col in bt]
+                      for row in A.data], A.rows, B.cols)
+
+
+def dense_solve(A, b):
+    """One integer solution of A x = b through the dense Smith form, or None."""
+    if len(b) != A.rows:
+        raise ValueError("right-hand side of wrong length")
+    s = smith(A)
+    c = dense_apply(s.U, b)
+    y = [0] * A.cols
+    for i in range(A.rows):
+        d = s.D.data[i][i] if i < A.cols else 0
+        if d:
+            if c[i] % d:
+                return None
+            y[i] = c[i] // d
+        elif c[i]:
+            return None
+    return dense_apply(s.V, y)
