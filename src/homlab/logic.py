@@ -16,9 +16,9 @@ routes up instance by instance.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .fga import CanonicalForm, GroupHom, composite_is_zero, hom_concat, hom_stack, kernel_in_image
 
@@ -493,34 +493,49 @@ def check_sequent(sig: Signature, seq: Sequent) -> None:
 # -- finite structures and enumeration ---------------------------------------
 
 
+SUM_TABLE_MAX = 1 << 16   # entries of the largest sum table a sort gets
+
+
 class FiniteStructure:
-    """Carriers and operation tables for brute-force sequent checking."""
+    """Carriers and operation tables for brute-force sequent checking.
+
+    A sort's carrier is a list of distinct coordinate tuples, closed under
+    coordinatewise addition modulo the sort's moduli.  The evaluator works
+    on positions in the carrier, so `add_sort` numbers each carrier once:
+    `index[sort]` maps an element to its position, `negation[sort][i]` is
+    the position of minus element i, and `sums[sort][i][j]` the position of
+    the sum of elements i and j.  A sort whose sum table would exceed
+    SUM_TABLE_MAX entries gets none; its sums are added coordinatewise.
+
+    `tables` maps each function symbol's source elements to target
+    elements.  It is not indexed here: the evaluator reads it at each call,
+    so edits made after export are seen.
+    """
 
     def __init__(self):
         self.moduli: Dict[str, tuple] = {}
         self.carriers: Dict[str, list] = {}
         self.func_sorts: Dict[str, Tuple[str, str]] = {}
         self.tables: Dict[str, dict] = {}
+        self.index: Dict[str, dict] = {}
+        self.negation: Dict[str, list] = {}
+        self.sums: Dict[str, list] = {}
 
     def add_sort(self, name: str, moduli: tuple, carrier: list):
         self.moduli[name] = moduli
         self.carriers[name] = carrier
+        index = {e: i for i, e in enumerate(carrier)}
+        self.index[name] = index
+        self.negation[name] = [index[tuple((-x) % m for x, m in zip(e, moduli))]
+                               for e in carrier]
+        if len(carrier) ** 2 <= SUM_TABLE_MAX:
+            self.sums[name] = [
+                [index[tuple((x + y) % m for x, y, m in zip(a, b, moduli))]
+                 for b in carrier] for a in carrier]
 
     def add_function(self, name: str, source: str, target: str, table: dict):
         self.func_sorts[name] = (source, target)
         self.tables[name] = table
-
-    def zero(self, sort: str) -> tuple:
-        return (0,) * len(self.moduli[sort])
-
-    def add(self, sort: str, a: tuple, b: tuple) -> tuple:
-        return tuple((x + y) % m for x, y, m in zip(a, b, self.moduli[sort]))
-
-    def neg(self, sort: str, a: tuple) -> tuple:
-        return tuple((-x) % m for x, m in zip(a, self.moduli[sort]))
-
-    def app(self, func: str, a: tuple) -> tuple:
-        return self.tables[func][a]
 
 
 def export_finite_structure(model, sig: Signature) -> FiniteStructure:
@@ -563,55 +578,152 @@ class EvalResult:
         return self.valid
 
 
-def _eval_term(st: FiniteStructure, term, env) -> Tuple[tuple, str]:
-    if isinstance(term, Var):
-        return env[term.name]
-    if isinstance(term, Zero):
-        return st.zero(term.sort), term.sort
-    if isinstance(term, Add):
-        va, sa = _eval_term(st, term.left, env)
-        vb, sb = _eval_term(st, term.right, env)
-        return st.add(sa, va, vb), sa
-    if isinstance(term, Neg):
-        v, s = _eval_term(st, term.arg, env)
-        return st.neg(s, v), s
-    if isinstance(term, App):
-        v, _ = _eval_term(st, term.arg, env)
-        return st.app(term.func, v), st.func_sorts[term.func][1]
-    raise TypeError(f"not a term: {term!r}")
+class _Compiler:
+    """Turns terms and formulas into closures over a list of slot values.
+
+    A slot holds a carrier position.  Context variables take slots 0..k-1
+    in context order; each existential takes a fresh slot after those.
+    """
+
+    def __init__(self, st: FiniteStructure, nslots: int):
+        self.st = st
+        self.nslots = nslots
+
+    def term(self, term, slots) -> Tuple[Callable, str]:
+        st = self.st
+        if isinstance(term, Var):
+            slot, sort = slots[term.name]
+            return itemgetter(slot), sort
+        if isinstance(term, Zero):
+            zero = st.index[term.sort][(0,) * len(st.moduli[term.sort])]
+            return (lambda env: zero), term.sort
+        if isinstance(term, Add):
+            a, sort = self.term(term.left, slots)
+            b, _ = self.term(term.right, slots)
+            sums = st.sums.get(sort)
+            if sums is not None:
+                return (lambda env: sums[a(env)][b(env)]), sort
+            carrier, index = st.carriers[sort], st.index[sort]
+            moduli = st.moduli[sort]
+            return (lambda env: index[tuple(
+                (x + y) % m for x, y, m in
+                zip(carrier[a(env)], carrier[b(env)], moduli))]), sort
+        if isinstance(term, Neg):
+            a, sort = self.term(term.arg, slots)
+            negation = st.negation[sort]
+            return (lambda env: negation[a(env)]), sort
+        if isinstance(term, App):
+            a, _ = self.term(term.arg, slots)
+            src, tgt = st.func_sorts[term.func]
+            table, index = st.tables[term.func], st.index[tgt]
+            # read from the table now, so edits after export are seen
+            images = [index[table[e]] for e in st.carriers[src]]
+            return (lambda env: images[a(env)]), tgt
+        raise TypeError(f"not a term: {term!r}")
+
+    def formula(self, formula, slots) -> Callable:
+        if isinstance(formula, Top):
+            return lambda env: True
+        if isinstance(formula, Eq):
+            a, _ = self.term(formula.left, slots)
+            b, _ = self.term(formula.right, slots)
+            return lambda env: a(env) == b(env)
+        if isinstance(formula, And):
+            a = self.formula(formula.left, slots)
+            b = self.formula(formula.right, slots)
+            return lambda env: a(env) and b(env)
+        if isinstance(formula, Exists):
+            slot = self.nslots
+            self.nslots += 1
+            body = self.formula(formula.body,
+                                {**slots, formula.var: (slot, formula.sort)})
+            positions = range(len(self.st.carriers[formula.sort]))
+
+            def exists(env):
+                for i in positions:
+                    env[slot] = i
+                    if body(env):
+                        return True
+                return False
+            return exists
+        raise TypeError(f"not a formula: {formula!r}")
 
 
-def _eval_formula(st: FiniteStructure, formula, env) -> bool:
-    if isinstance(formula, Top):
-        return True
-    if isinstance(formula, Eq):
-        return _eval_term(st, formula.left, env)[0] == \
-            _eval_term(st, formula.right, env)[0]
-    if isinstance(formula, And):
-        return _eval_formula(st, formula.left, env) and \
-            _eval_formula(st, formula.right, env)
-    if isinstance(formula, Exists):
-        for e in st.carriers[formula.sort]:
-            inner = dict(env)
-            inner[formula.var] = (e, formula.sort)
-            if _eval_formula(st, formula.body, inner):
+def _free_vars(node) -> set:
+    if isinstance(node, Var):
+        return {node.name}
+    if isinstance(node, Exists):
+        return _free_vars(node.body) - {node.var}
+    if isinstance(node, (Add, Eq, And)):
+        return _free_vars(node.left) | _free_vars(node.right)
+    if isinstance(node, (Neg, App)):
+        return _free_vars(node.arg)
+    return set()
+
+
+def _level(slot, positions, ante, cons, inner) -> Callable:
+    """env -> whether the assignments extending the bound slots hold a
+    counterexample, leaving the first one in env.
+
+    `ante` and `cons` are the formulas whose variables are all bound at
+    this depth and are tested here (None if not); `inner` searches the
+    next slot, or is None at the depth where both formulas are decided.
+    """
+    if inner is None:
+        if ante is None:
+            return lambda env: not cons(env)
+        if cons is None:
+            return ante
+        return lambda env: ante(env) and not cons(env)
+
+    def search(env):
+        if ante is not None and not ante(env):
+            return False
+        if cons is not None and cons(env):
+            return False
+        for i in positions:
+            env[slot] = i
+            if inner(env):
                 return True
         return False
-    raise TypeError(f"not a formula: {formula!r}")
+    return search
 
 
 def eval_sequent(st: FiniteStructure, seq: Sequent) -> EvalResult:
-    """Exhaustive check; on failure the first counterexample in carrier
-    order, as {variable: element}."""
-    names = [v for v, _ in seq.context]
-    spaces = [st.carriers[s] for _, s in seq.context]
-    for values in itertools.product(*spaces):
-        env = {v: (e, s) for (v, s), e in zip(seq.context, values)}
-        if not _eval_formula(st, seq.antecedent, env):
-            continue
-        if not _eval_formula(st, seq.consequent, env):
-            return EvalResult(False, dict(zip(names, values)))
-    return EvalResult(True)
+    """Exhaustive check over every assignment of the context; on failure
+    the first counterexample in carrier product order, as {variable:
+    element} over every context variable.
+
+    The sequent is compiled once per call into closures on carrier
+    positions; function symbols are read from `st.tables` at each call.
+    The context is searched as nested loops in its declared order, and the
+    antecedent and the consequent are each evaluated once per binding of
+    the context variables up to the last one they mention.  A subtree is
+    skipped where the antecedent is false or the consequent true; where
+    the consequent is false, the search descends to the first extension
+    whose antecedent holds, and variables bound below both formulas take
+    their carrier's first element.  So every assignment is accounted for.
+    """
+    if any(not st.carriers[s] for _, s in seq.context):
+        return EvalResult(True)     # no assignment at all
+    slots = {v: (i, s) for i, (v, s) in enumerate(seq.context)}
+    compiler = _Compiler(st, len(slots))
+    ante = compiler.formula(seq.antecedent, slots)
+    cons = compiler.formula(seq.consequent, slots)
+    ante_depth, cons_depth = (
+        max((slots[v][0] + 1 for v in _free_vars(f)), default=0)
+        for f in (seq.antecedent, seq.consequent))
+    top = max(ante_depth, cons_depth)
+    search = None
+    for d in range(top, -1, -1):
+        positions = range(len(st.carriers[seq.context[d][1]])) if d < top else None
+        search = _level(d, positions, ante if d == ante_depth else None,
+                        cons if d == cons_depth else None, search)
+    env = [0] * compiler.nslots
+    if not search(env):
+        return EvalResult(True)
+    return EvalResult(False, {v: st.carriers[s][env[i]]
+                              for i, (v, s) in enumerate(seq.context)})
 
 
 # -- semantic validation (group arithmetic, no enumeration) ------------------

@@ -7,14 +7,18 @@ not tautology.
 
 The dense_* functions are the package's earlier dense kernels, which visit
 every entry: the sparse-aware kernels that replaced them must agree with
-them exactly.
+them exactly.  reference_eval_sequent is the package's earlier sequent
+evaluator, which walks the formula tree once per assignment on carrier
+tuples: the compiled evaluator must agree with it exactly.
 """
 
+import itertools
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
 from homlab.fga import IntMatrix, smith
+from homlab.logic import Add, And, App, EvalResult, Eq, Exists, Neg, Top, Var, Zero
 
 
 def minor_gcd_invariants(rows):
@@ -124,3 +128,54 @@ def dense_solve(A, b):
         elif c[i]:
             return None
     return dense_apply(s.V, y)
+
+
+def _eval_term(st, term, env):
+    if isinstance(term, Var):
+        return env[term.name]
+    if isinstance(term, Zero):
+        return (0,) * len(st.moduli[term.sort]), term.sort
+    if isinstance(term, Add):
+        va, sa = _eval_term(st, term.left, env)
+        vb, sb = _eval_term(st, term.right, env)
+        return tuple((x + y) % m for x, y, m in zip(va, vb, st.moduli[sa])), sa
+    if isinstance(term, Neg):
+        v, s = _eval_term(st, term.arg, env)
+        return tuple((-x) % m for x, m in zip(v, st.moduli[s])), s
+    if isinstance(term, App):
+        v, _ = _eval_term(st, term.arg, env)
+        return st.tables[term.func][v], st.func_sorts[term.func][1]
+    raise TypeError(f"not a term: {term!r}")
+
+
+def _eval_formula(st, formula, env):
+    if isinstance(formula, Top):
+        return True
+    if isinstance(formula, Eq):
+        return _eval_term(st, formula.left, env)[0] == \
+            _eval_term(st, formula.right, env)[0]
+    if isinstance(formula, And):
+        return _eval_formula(st, formula.left, env) and \
+            _eval_formula(st, formula.right, env)
+    if isinstance(formula, Exists):
+        for e in st.carriers[formula.sort]:
+            inner = dict(env)
+            inner[formula.var] = (e, formula.sort)
+            if _eval_formula(st, formula.body, inner):
+                return True
+        return False
+    raise TypeError(f"not a formula: {formula!r}")
+
+
+def reference_eval_sequent(st, seq):
+    """Exhaustive check; on failure the first counterexample in carrier
+    order, as {variable: element}."""
+    names = [v for v, _ in seq.context]
+    spaces = [st.carriers[s] for _, s in seq.context]
+    for values in itertools.product(*spaces):
+        env = {v: (e, s) for (v, s), e in zip(seq.context, values)}
+        if not _eval_formula(st, seq.antecedent, env):
+            continue
+        if not _eval_formula(st, seq.consequent, env):
+            return EvalResult(False, dict(zip(names, values)))
+    return EvalResult(True)

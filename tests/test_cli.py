@@ -1,5 +1,6 @@
 """Command line driver: reports, determinism, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -105,6 +106,41 @@ def test_doubling_surjective_mod_three(tmp_path):
     assert rc == 0
     assert report["results"][0]["valid"] is True
     assert report["results"][0]["counterexample"] is None
+
+
+# Failing sequents whose first counterexample in product order is easy to
+# get wrong: `order` fails its consequent first at x = 1, y = 0, where its
+# antecedent is false; `unused` never mentions w; `late` binds the
+# antecedent's x after the consequent's y, and the first y that fails
+# y + y = 0 has no x with t@1(x) = y.
+COUNTEREXAMPLES = (
+    "complex P = {v}\n"
+    "complex X = {ab}\n"
+    "complex Y = {a, b}\n"
+    "triple t : X / Y\n"
+    "sequent order = [x:h0(P), y:h0(P)] x = y |- x + x = 0\n"
+    "sequent unused = [x:h0(P), w:h1(X,Y), z:h0(P)] z = x + x |- z = 0\n"
+    "sequent boundary = [y:h1(X,Y), x:h0(P)] top |- t@1(y) = 0\n"
+    "sequent halves = [x:h0(P)] top |- exists y:h0(P). y + y = x\n"
+    "sequent late = [y:h0(Y), x:h1(X,Y)] t@1(x) = y |- y + y = 0\n"
+    "sequent fine = [x:h0(X), y:h0(X)] top |- x + y = y + x\n"
+    "sequent\n")
+
+
+def test_sequent_counterexamples_pinned(tmp_path):
+    src = tmp_path / "in.hwb"
+    src.write_text(COUNTEREXAMPLES)
+    out = tmp_path / "out.json"
+    rc = main([str(src), "--coeff", "Zmod4", "--window", "0..1",
+               "--out", str(out)])
+    assert rc == 1
+    rows = {r["sequent"]: r for r in json.loads(out.read_text())["results"]}
+    assert [c["value"] for c in rows["order"]["counterexample"]] == [[1], [1]]
+    assert [c["value"] for c in rows["unused"]["counterexample"]] == \
+        [[1], [0], [2]]
+    # recorded with the tree-walking evaluator the compiled one replaced
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "1945cc61e09ffe1698e13e498c4837d15161d6a3927b0565bb49b3254cd25270"
 
 
 def test_sequent_type_error_exits_two(tmp_path):

@@ -1,12 +1,16 @@
+import random
 from collections import Counter
 
 import pytest
 
+from homlab import logic
 from homlab.logic import (
     Add,
+    And,
     App,
     Eq,
     Exists,
+    Neg,
     Sequent,
     Top,
     Var,
@@ -22,6 +26,8 @@ from homlab.logic import (
 from homlab.model import HomologyModel
 from homlab.simp import DiagramBuilder, SimplicialComplex, skeleton, subcomplex
 
+from oracles import reference_eval_sequent
+
 
 def interval_triple_diagram():
     seg = SimplicialComplex.from_maximal_simplices([("a", "b")])
@@ -30,6 +36,47 @@ def interval_triple_diagram():
     b.add_complex("Y", skeleton(seg, 0))
     b.add_triple("t", "X", "Y")
     return b.build()
+
+
+def union_square_diagram():
+    x = skeleton(SimplicialComplex.from_maximal_simplices([("a", "b", "c")]), 1)
+    b = DiagramBuilder()
+    b.add_complex("S", x)
+    b.add_complex("U", subcomplex(x, [("a", "b"), ("a", "c")]))
+    b.add_complex("V", subcomplex(x, [("b", "c")]))
+    b.add_square("q", "S", "U", "V")
+    return b.build()
+
+
+def cycle_diagram():
+    """The 4-cycle a-b-c-d with A = {b, d}, P = {b}, U = a-b-c, V = c-d-a,
+    a triple, a union square, maps by the flip of a and c, and a prism."""
+    c = SimplicialComplex.from_maximal_simplices(
+        [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
+    flip = {"a": "c", "b": "b", "c": "a", "d": "d"}
+    b = DiagramBuilder()
+    b.add_complex("C", c)
+    b.add_complex("A", subcomplex(c, [("b",), ("d",)]))
+    b.add_complex("P", subcomplex(c, [("b",)]))
+    b.add_complex("U", subcomplex(c, [("a", "b"), ("b", "c")]))
+    b.add_complex("V", subcomplex(c, [("c", "d"), ("a", "d")]))
+    b.add_pair("C", "A")
+    b.add_edge("e", ("C", "A"), ("C", "A"), flip)
+    b.add_triple("t", "C", "A", "P")
+    b.add_square("q", "C", "U", "V")
+    b.add_square_map("m", "q", "q", flip)
+    b.add_cube("k", "t", "t", flip)
+    b.add_prism("A", "P")
+    return b.build()
+
+
+def point_structure(modulus):
+    b = DiagramBuilder()
+    b.add_complex("P", SimplicialComplex(("p",), [("p",)]))
+    b.add_pair("P")
+    model = HomologyModel(b.build(), modulus=modulus, window=(0, 0))
+    sig = generate_signature(model.diagram, (0, 0))
+    return sig, export_finite_structure(model, sig)
 
 
 def test_signature_shape():
@@ -83,12 +130,7 @@ def test_routes_agree_mod_three():
 
 
 def test_point_doubling_counterexample():
-    b = DiagramBuilder()
-    b.add_complex("P", SimplicialComplex(("p",), [("p",)]))
-    b.add_pair("P")
-    model = HomologyModel(b.build(), modulus=4, window=(0, 0))
-    sig = generate_signature(model.diagram, (0, 0))
-    st = export_finite_structure(model, sig)
+    sig, st = point_structure(4)
     s = "h0(P)"
     halves = Sequent((("x", s),), Top(),
                      Exists("y", s, Eq(Add(Var("y"), Var("y")), Var("x"))))
@@ -96,6 +138,27 @@ def test_point_doubling_counterexample():
     res = eval_sequent(st, halves)
     assert not res.valid
     assert res.counterexample == {"x": (1,)}
+
+
+def test_first_counterexample_waits_for_the_antecedent():
+    # x + x = 0 first fails at x = 1, y = 0, where x = y is false: the
+    # first failing assignment in product order is x = y = 1
+    sig, st = point_structure(4)
+    s = "h0(P)"
+    seq = Sequent((("x", s), ("y", s)), Eq(Var("x"), Var("y")),
+                  Eq(Add(Var("x"), Var("x")), Zero(s)))
+    check_sequent(sig, seq)
+    assert eval_sequent(st, seq).counterexample == {"x": (1,), "y": (1,)}
+
+
+def test_unused_variable_takes_its_first_element():
+    sig, st = point_structure(4)
+    s = "h0(P)"
+    seq = Sequent((("w", s), ("x", s), ("v", s)), Top(),
+                  Eq(Add(Var("x"), Var("x")), Zero(s)))
+    check_sequent(sig, seq)
+    assert eval_sequent(st, seq).counterexample == {
+        "w": (0,), "x": (1,), "v": (0,)}
 
 
 def test_tampered_table_is_caught():
@@ -132,13 +195,7 @@ def test_composition_detected_on_prisms():
 
 
 def test_square_axioms_both_routes():
-    x = skeleton(SimplicialComplex.from_maximal_simplices([("a", "b", "c")]), 1)
-    b = DiagramBuilder()
-    b.add_complex("S", x)
-    b.add_complex("U", subcomplex(x, [("a", "b"), ("a", "c")]))
-    b.add_complex("V", subcomplex(x, [("b", "c")]))
-    b.add_square("q", "S", "U", "V")
-    diagram = b.build()
+    diagram = union_square_diagram()
     sig = generate_signature(diagram, (0, 1))
     axioms = generate_axioms(sig, diagram, flavors=("cd",))
     families = Counter(a.tag[0] for a in axioms)
@@ -183,3 +240,133 @@ def test_export_requires_finite_carriers():
     sig = generate_signature(diagram, (0, 1))
     with pytest.raises(ValueError, match="infinite carrier"):
         export_finite_structure(model, sig)
+
+
+# -- the compiled evaluator against the tree-walking reference ----------------
+
+
+def _random_term(rng, st, sort, scope, depth):
+    names = [v for v, s in scope if s == sort]
+    funcs = sorted(f for f, (_, tgt) in st.func_sorts.items() if tgt == sort)
+    kinds = ["zero"] + ["var"] * 3 * bool(names)
+    if depth:
+        kinds += ["add", "neg"] + ["app"] * 2 * bool(funcs)
+    kind = rng.choice(kinds)
+    if kind == "var":
+        return Var(rng.choice(names))
+    if kind == "zero":
+        return Zero(sort)
+    if kind == "add":
+        return Add(_random_term(rng, st, sort, scope, depth - 1),
+                   _random_term(rng, st, sort, scope, depth - 1))
+    if kind == "neg":
+        return Neg(_random_term(rng, st, sort, scope, depth - 1))
+    func = rng.choice(funcs)
+    return App(func, _random_term(rng, st, st.func_sorts[func][0], scope,
+                                  depth - 1))
+
+
+def _nontrivial(st):
+    return sorted(s for s, carrier in st.carriers.items() if len(carrier) > 1)
+
+
+def _random_formula(rng, st, scope, depth, allow_exists):
+    roll = rng.random()
+    if depth and roll < 0.2:
+        return And(_random_formula(rng, st, scope, depth - 1, allow_exists),
+                   _random_formula(rng, st, scope, depth - 1, allow_exists))
+    if allow_exists and depth and roll < 0.45:
+        var = f"e{len(scope)}"
+        sort = rng.choice(_nontrivial(st))
+        return Exists(var, sort, _random_formula(
+            rng, st, scope + [(var, sort)], depth - 1, allow_exists))
+    # mostly equate terms of a sort some bound variable has
+    sorts = [s for _, s in scope] or _nontrivial(st)
+    sort = rng.choice(sorts if rng.random() < 0.8 else _nontrivial(st))
+    return Eq(_random_term(rng, st, sort, scope, 2),
+              _random_term(rng, st, sort, scope, 2))
+
+
+def random_sequent(rng, st):
+    """A well-typed sequent over st whose consequent sees only a prefix of
+    the context, so the antecedent's variables are often bound later; the
+    context may also hold variables neither side mentions."""
+    sorts = _nontrivial(st)
+    context = [(f"v{i}", rng.choice(sorts)) for i in range(rng.randint(1, 3))]
+    cons = _random_formula(rng, st, context[:rng.randint(0, len(context))],
+                           2, True)
+    roll = rng.random()
+    if roll < 0.3:
+        ante = Top()
+    elif roll < 0.65:
+        # pins a late variable to a term, so it holds at one value of it
+        var, sort = rng.choice(context[1:] or context)
+        ante = Eq(Var(var), _random_term(rng, st, sort, context, 2))
+    else:
+        ante = _random_formula(rng, st, context[rng.randrange(len(context)):],
+                               1, False)
+    return Sequent(tuple(context), ante, cons)
+
+
+def _tamper(st, rng):
+    """Send one element of every function table somewhere else."""
+    for func in sorted(st.tables):
+        table = st.tables[func]
+        key = rng.choice(sorted(table))
+        others = [e for e in st.carriers[st.func_sorts[func][1]]
+                  if e != table[key]]
+        if others:
+            table[key] = rng.choice(others)
+
+
+def _assert_matches_reference(st, sig, sequents):
+    """Compare (valid, counterexample) exactly; return the invalid count."""
+    invalid = 0
+    for seq in sequents:
+        check_sequent(sig, seq)
+        got = eval_sequent(st, seq)
+        want = reference_eval_sequent(st, seq)
+        assert (got.valid, got.counterexample) == \
+            (want.valid, want.counterexample), seq
+        invalid += not want.valid
+    return invalid
+
+
+def _differential_inputs(modulus, seed):
+    """(model, sig, sequents) per diagram: every generated axiom plus
+    random sequents."""
+    rng = random.Random(seed)
+    window = (0, 1)
+    for make in (interval_triple_diagram, union_square_diagram, cycle_diagram):
+        diagram = make()
+        sig = generate_signature(diagram, window)
+        model = HomologyModel(diagram, modulus=modulus, window=window)
+        sequents = [a.sequent for a in
+                    generate_axioms(sig, diagram, ("core", "homotopy", "cd"))]
+        st = export_finite_structure(model, sig)
+        sequents += [random_sequent(rng, st) for _ in range(40)]
+        yield model, sig, sequents
+
+
+@pytest.mark.parametrize("modulus", [2, 3, 4])
+def test_compiled_evaluator_matches_reference(modulus):
+    rng = random.Random(2000 + modulus)
+    checked = invalid = 0
+    for model, sig, sequents in _differential_inputs(modulus, 1000 + modulus):
+        for tampered in (False, True):
+            st = export_finite_structure(model, sig)
+            if tampered:
+                _tamper(st, rng)
+            invalid += _assert_matches_reference(st, sig, sequents)
+            checked += len(sequents)
+    assert checked > 600
+    assert invalid > 100
+
+
+def test_sums_without_a_table_match_reference(monkeypatch):
+    # sorts past SUM_TABLE_MAX add coordinatewise instead of by table
+    monkeypatch.setattr(logic, "SUM_TABLE_MAX", 0)
+    for model, sig, sequents in _differential_inputs(4, 3000):
+        st = export_finite_structure(model, sig)
+        assert not st.sums
+        _assert_matches_reference(st, sig, sequents)
