@@ -493,9 +493,6 @@ def check_sequent(sig: Signature, seq: Sequent) -> None:
 # -- finite structures and enumeration ---------------------------------------
 
 
-SUM_TABLE_MAX = 1 << 16   # entries of the largest sum table a sort gets
-
-
 class FiniteStructure:
     """Carriers and operation tables for brute-force sequent checking.
 
@@ -504,8 +501,9 @@ class FiniteStructure:
     on positions in the carrier, so `add_sort` numbers each carrier once:
     `index[sort]` maps an element to its position, `negation[sort][i]` is
     the position of minus element i, and `sums[sort][i][j]` the position of
-    the sum of elements i and j.  A sort whose sum table would exceed
-    SUM_TABLE_MAX entries gets none; its sums are added coordinatewise.
+    the sum of elements i and j.  The sum table has len(carrier)**2
+    entries, as many as the assignments of a two-variable sequent over
+    the sort.
 
     `tables` maps each function symbol's source elements to target
     elements.  It is not indexed here: the evaluator reads it at each call,
@@ -528,10 +526,9 @@ class FiniteStructure:
         self.index[name] = index
         self.negation[name] = [index[tuple((-x) % m for x, m in zip(e, moduli))]
                                for e in carrier]
-        if len(carrier) ** 2 <= SUM_TABLE_MAX:
-            self.sums[name] = [
-                [index[tuple((x + y) % m for x, y, m in zip(a, b, moduli))]
-                 for b in carrier] for a in carrier]
+        self.sums[name] = [
+            [index[tuple((x + y) % m for x, y, m in zip(a, b, moduli))]
+             for b in carrier] for a in carrier]
 
     def add_function(self, name: str, source: str, target: str, table: dict):
         self.func_sorts[name] = (source, target)
@@ -600,14 +597,8 @@ class _Compiler:
         if isinstance(term, Add):
             a, sort = self.term(term.left, slots)
             b, _ = self.term(term.right, slots)
-            sums = st.sums.get(sort)
-            if sums is not None:
-                return (lambda env: sums[a(env)][b(env)]), sort
-            carrier, index = st.carriers[sort], st.index[sort]
-            moduli = st.moduli[sort]
-            return (lambda env: index[tuple(
-                (x + y) % m for x, y, m in
-                zip(carrier[a(env)], carrier[b(env)], moduli))]), sort
+            sums = st.sums[sort]
+            return (lambda env: sums[a(env)][b(env)]), sort
         if isinstance(term, Neg):
             a, sort = self.term(term.arg, slots)
             negation = st.negation[sort]

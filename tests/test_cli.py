@@ -134,10 +134,6 @@ def test_sequent_counterexamples_pinned(tmp_path):
     rc = main([str(src), "--coeff", "Zmod4", "--window", "0..1",
                "--out", str(out)])
     assert rc == 1
-    rows = {r["sequent"]: r for r in json.loads(out.read_text())["results"]}
-    assert [c["value"] for c in rows["order"]["counterexample"]] == [[1], [1]]
-    assert [c["value"] for c in rows["unused"]["counterexample"]] == \
-        [[1], [0], [2]]
     # recorded with the tree-walking evaluator the compiled one replaced
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
         "1945cc61e09ffe1698e13e498c4837d15161d6a3927b0565bb49b3254cd25270"

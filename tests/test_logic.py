@@ -3,7 +3,6 @@ from collections import Counter
 
 import pytest
 
-from homlab import logic
 from homlab.logic import (
     Add,
     And,
@@ -361,12 +360,3 @@ def test_compiled_evaluator_matches_reference(modulus):
             checked += len(sequents)
     assert checked > 600
     assert invalid > 100
-
-
-def test_sums_without_a_table_match_reference(monkeypatch):
-    # sorts past SUM_TABLE_MAX add coordinatewise instead of by table
-    monkeypatch.setattr(logic, "SUM_TABLE_MAX", 0)
-    for model, sig, sequents in _differential_inputs(4, 3000):
-        st = export_finite_structure(model, sig)
-        assert not st.sums
-        _assert_matches_reference(st, sig, sequents)
