@@ -20,8 +20,6 @@ from .fga import (
     present_subquotient,
 )
 
-ZERO_GROUP = FgAbGroup(0)
-
 
 class ComplexViolation:
     """One failure of d∘d = 0: the degree and a witness generator."""
@@ -52,7 +50,7 @@ class ChainComplex:
         self.diffs = dict(diffs)
         for n in range(n_min, n_max + 1):
             if n not in self.groups:
-                self.groups[n] = ZERO_GROUP
+                self.groups[n] = FgAbGroup.zero()
         for n, d in self.diffs.items():
             if not (n_min < n <= n_max):
                 raise ValueError(f"differential at degree {n} outside the window")
@@ -60,7 +58,7 @@ class ChainComplex:
                 raise ValueError(f"differential at degree {n} has wrong endpoints")
 
     def group(self, n: int) -> FgAbGroup:
-        return self.groups.get(n, ZERO_GROUP)
+        return self.groups.get(n, FgAbGroup.zero())
 
     def differential(self, n: int) -> GroupHom:
         d = self.diffs.get(n)
@@ -157,7 +155,7 @@ class Bicomplex:
                 raise ValueError(f"vertical map at {(p, q)} has wrong endpoints")
 
     def group(self, p: int, q: int) -> FgAbGroup:
-        return self.groups.get((p, q), ZERO_GROUP)
+        return self.groups.get((p, q), FgAbGroup.zero())
 
     def hmap(self, p: int, q: int) -> GroupHom:
         h = self.horizontal.get((p, q))
@@ -198,7 +196,7 @@ def total_complex(bi: Bicomplex) -> Tuple[ChainComplex, Dict[int, list]]:
     if issues:
         raise ValueError(f"grid maps are incompatible: {issues[0]}")
     if not bi.groups:
-        return ChainComplex(0, 0, {0: ZERO_GROUP}, {}), {0: []}
+        return ChainComplex(0, 0, {0: FgAbGroup.zero()}, {}), {0: []}
     degrees = sorted({p + q for (p, q) in bi.groups})
     n_min, n_max = degrees[0], degrees[-1]
     blocks: Dict[int, list] = {}
@@ -213,7 +211,7 @@ def total_complex(bi: Bicomplex) -> Tuple[ChainComplex, Dict[int, list]]:
             pos += bi.groups[cell].ngens
         offsets[n] = offs
         groups[n] = FgAbGroup(pos, block_diag(
-            [bi.groups[cell].relations for cell in blocks[n]])) if blocks[n] else ZERO_GROUP
+            [bi.groups[cell].relations for cell in blocks[n]])) if blocks[n] else FgAbGroup.zero()
     diffs: Dict[int, GroupHom] = {}
     for n in range(n_min + 1, n_max + 1):
         src, tgt = groups[n], groups[n - 1]

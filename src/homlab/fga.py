@@ -351,6 +351,8 @@ class LinearSolver:
     decomposition is dropped, so a solve multiplies and adds only the
     nonzero entries of b and of y.  Only the columns of V facing a
     nonzero diagonal entry are kept: y is zero everywhere else.
+    `diagonal` is the diagonal of D, padded with zeros to one entry per
+    row of A.
     """
 
     def __init__(self, A: IntMatrix):
@@ -358,7 +360,7 @@ class LinearSolver:
         s = smith(A)
         diag = s.diagonal()
         vcols = _sparse_columns(s.V)
-        self._diag = diag + (0,) * (A.rows - len(diag))  # one entry per row
+        self.diagonal = diag + (0,) * (A.rows - len(diag))
         self._ucols = _sparse_columns(s.U)
         self._vcols = [vcols[i] if d else None for i, d in enumerate(diag)]
 
@@ -375,7 +377,7 @@ class LinearSolver:
         for i, ci in c.items():
             if not ci:
                 continue
-            d = self._diag[i]
+            d = self.diagonal[i]
             if not d or ci % d:
                 return None
             yi = ci // d
@@ -470,13 +472,16 @@ def unimodular_inverse(M: IntMatrix) -> IntMatrix:
 class FgAbGroup:
     """Finitely generated abelian group, presented as Z^ngens / row lattice.
 
-    The rows of `relations` are relators on the chosen generators.
+    The rows of `relations` are relators on the chosen generators.  The
+    group builds one `LinearSolver` on its relation columns when first
+    asked, and its invariants read that solver's Smith diagonal.  Equality
+    and hashing are by value.
 
     >>> FgAbGroup(2, IntMatrix([[2, 0], [0, 3]])).iso_invariants()
     (0, (6,))
     """
 
-    __slots__ = ("ngens", "relations", "_invariants")
+    __slots__ = ("ngens", "relations", "_invariants", "_solver")
 
     def __init__(self, ngens: int, relations: IntMatrix | None = None):
         if ngens < 0:
@@ -488,6 +493,7 @@ class FgAbGroup:
         self.ngens = ngens
         self.relations = relations
         self._invariants = None
+        self._solver = None
 
     @classmethod
     def free(cls, n: int) -> "FgAbGroup":
@@ -504,11 +510,20 @@ class FgAbGroup:
     def relation_cols(self) -> IntMatrix:
         return self.relations.transpose()
 
+    def relation_solver(self) -> LinearSolver:
+        """Solver for relation_cols() x = v: v lies in the relation lattice
+        exactly when it has a solution."""
+        if self._solver is None:
+            self._solver = LinearSolver(self.relation_cols())
+        return self._solver
+
     def iso_invariants(self) -> tuple:
-        """(free rank, torsion chain t_1 | t_2 | ... with each t_i >= 2)."""
+        """(free rank, torsion chain t_1 | t_2 | ... with each t_i >= 2).
+
+        The relation matrix and its transpose have the same Smith
+        diagonal, so the relation solver's diagonal serves."""
         if self._invariants is None:
-            diag = smith(self.relations).diagonal()
-            nonzero = [d for d in diag if d != 0]
+            nonzero = [d for d in self.relation_solver().diagonal if d != 0]
             torsion = tuple(d for d in nonzero if d >= 2)
             self._invariants = (self.ngens - len(nonzero), torsion)
         return self._invariants
@@ -573,7 +588,7 @@ class GroupHom:
         """Index of the first source relation not preserved, or None."""
         if self.source.relations.rows == 0:
             return None
-        solver = LinearSolver(self.target.relation_cols())
+        solver = self.target.relation_solver()
         for i, rel in enumerate(self.source.relations.data):
             if solver.solve(self.matrix.apply(rel)) is None:
                 return i
@@ -602,7 +617,7 @@ class GroupHom:
         diff = self.matrix - other.matrix
         if diff.is_zero():
             return True
-        solver = LinearSolver(self.target.relation_cols())
+        solver = self.target.relation_solver()
         return all(solver.solve(diff.col(j)) is not None for j in range(diff.cols))
 
     def is_zero(self) -> bool:
@@ -705,7 +720,7 @@ def composite_is_zero(f: GroupHom, g: GroupHom) -> Optional[tuple]:
     if f.target != g.source:
         raise ValueError("maps do not compose")
     comp = g.matrix @ f.matrix
-    solver = LinearSolver(g.target.relation_cols())
+    solver = g.target.relation_solver()
     for j in range(comp.cols):
         c = comp.col(j)
         if any(c) and solver.solve(c) is None:

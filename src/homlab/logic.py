@@ -500,10 +500,12 @@ class FiniteStructure:
     coordinatewise addition modulo the sort's moduli.  The evaluator works
     on positions in the carrier, so `add_sort` numbers each carrier once:
     `index[sort]` maps an element to its position, `negation[sort][i]` is
-    the position of minus element i, and `sums[sort][i][j]` the position of
-    the sum of elements i and j.  The sum table has len(carrier)**2
-    entries, as many as the assignments of a two-variable sequent over
-    the sort.
+    the position of minus element i, and `sum_table(sort)[i][j]` the
+    position of the sum of elements i and j.  A sum table has
+    len(carrier)**2 entries, as many as the assignments of a two-variable
+    sequent over the sort, so it is built only when first asked for (the
+    evaluator asks when it compiles an `Add` on the sort) and then kept
+    in `sums`.
 
     `tables` maps each function symbol's source elements to target
     elements.  It is not indexed here: the evaluator reads it at each call,
@@ -526,9 +528,16 @@ class FiniteStructure:
         self.index[name] = index
         self.negation[name] = [index[tuple((-x) % m for x, m in zip(e, moduli))]
                                for e in carrier]
-        self.sums[name] = [
-            [index[tuple((x + y) % m for x, y, m in zip(a, b, moduli))]
-             for b in carrier] for a in carrier]
+
+    def sum_table(self, name: str) -> list:
+        table = self.sums.get(name)
+        if table is None:
+            moduli, carrier = self.moduli[name], self.carriers[name]
+            index = self.index[name]
+            table = self.sums[name] = [
+                [index[tuple((x + y) % m for x, y, m in zip(a, b, moduli))]
+                 for b in carrier] for a in carrier]
+        return table
 
     def add_function(self, name: str, source: str, target: str, table: dict):
         self.func_sorts[name] = (source, target)
@@ -597,7 +606,7 @@ class _Compiler:
         if isinstance(term, Add):
             a, sort = self.term(term.left, slots)
             b, _ = self.term(term.right, slots)
-            sums = st.sums[sort]
+            sums = st.sum_table(sort)
             return (lambda env: sums[a(env)][b(env)]), sort
         if isinstance(term, Neg):
             a, sort = self.term(term.arg, slots)

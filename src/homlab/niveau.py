@@ -51,11 +51,20 @@ class PageEntry:
         self.expresser = expresser
 
 
-_TRIVIAL = FgAbGroup(0)
-
-
 class SpectralSequence:
-    """All pages E^1 .. E^{d+1} of the filtration, with differentials."""
+    """All pages E^1 .. E^{d+1} of the filtration, with differentials.
+
+    Lattices are keyed by what they contain, not by where they sit: L_p in
+    degree n has the key (n, indices of the n-simplices of F_p), so steps
+    with equal n-simplices, and every p below zero, share one key.
+    Z^r_{p,q} depends only on the keys of L_p in degree n and L_{p-r} in
+    degree n - 1, and a page entry only on the keys of its three defining
+    Z lattices.  Sharing invariant: entries at any pages and positions
+    whose defining lattices are equal are the same PageEntry object.
+    Equal keys mean literally equal input matrices, so sharing changes no
+    group, representative or differential.  All of it lives and dies with
+    this object.
+    """
 
     def __init__(self, filtration: Filtration, modulus: int = 0):
         if modulus < 0:
@@ -69,8 +78,9 @@ class SpectralSequence:
         self.chains, self.bases = relative_chain_complex(
             pair, modulus, -1, self.top + 1)
         self._dim = {n: len(b) for n, b in self.bases.items()}
-        self._lattices: Dict[Tuple[int, int], IntMatrix] = {}
-        self._zcache: Dict[Tuple[int, int, int], IntMatrix] = {}
+        self._lkeys: Dict[Tuple[int, int], tuple] = {}
+        self._lattices: Dict[tuple, IntMatrix] = {}
+        self._zcache: Dict[tuple, IntMatrix] = {}
         self._hx: Dict[int, tuple] = {}
 
         self.grid: List[Tuple[int, int]] = []
@@ -81,18 +91,17 @@ class SpectralSequence:
 
         self.pages: Dict[int, Dict[Tuple[int, int], PageEntry]] = {}
         self.diffs: Dict[int, Dict[Tuple[int, int], GroupHom]] = {}
+        built: Dict[tuple, PageEntry] = {}
         for r in range(1, self.d_len + 2):
             entries = {}
             for (p, q) in self.grid:
-                n = p + q
-                num = self._z(r, p, q)
-                den = hstack([
-                    self.chains.differential(n + 1).matrix
-                    @ self._z(r - 1, p + r - 1, q - r + 2),
-                    self._z(r - 1, p - 1, q + 1)])
-                group, reps = present_subquotient(self._dim[n], num, den)
-                entries[(p, q)] = PageEntry(group, reps,
-                                            QuotientExpresser(reps, den))
+                key = (self.zkey(r, p, q),
+                       self.zkey(r - 1, p + r - 1, q - r + 2),
+                       self.zkey(r - 1, p - 1, q + 1))
+                entry = built.get(key)
+                if entry is None:
+                    entry = built[key] = self._page_entry(p + q, *key)
+                entries[(p, q)] = entry
             self.pages[r] = entries
             diffs = {}
             for (p, q) in self.grid:
@@ -114,46 +123,76 @@ class SpectralSequence:
                 diffs[(p, q)] = hom
             self.diffs[r] = diffs
 
+    def _page_entry(self, n: int, znum, zup, zleft) -> PageEntry:
+        num = self.z_lattice(znum)
+        den = hstack([self.chains.differential(n + 1).matrix
+                      @ self.z_lattice(zup),
+                      self.z_lattice(zleft)])
+        group, reps = present_subquotient(self.dim(n), num, den)
+        return PageEntry(group, reps, QuotientExpresser(reps, den))
+
     # -- lattices ------------------------------------------------------------
 
     def dim(self, n: int) -> int:
         return self._dim.get(n, 0)
 
-    def lattice(self, p: int, n: int) -> IntMatrix:
-        """Columns spanning the F_p chains in C_n, with modulus padding."""
-        key = (p, n)
+    def lattice_key(self, p: int, n: int) -> tuple:
+        """(n, basis indices of the n-simplices of F_p): equal keys, equal
+        lattices."""
+        key = self._lkeys.get((p, n))
+        if key is None:
+            step = self.filtration.step(p).simplices
+            key = (n, tuple(i for i, s in enumerate(self.bases.get(n, []))
+                            if s in step))
+            self._lkeys[(p, n)] = key
+        return key
+
+    def lattice(self, key: tuple) -> IntMatrix:
+        """Columns spanning the F_p chains in C_n, with modulus padding,
+        from the key of L_p in degree n."""
         cached = self._lattices.get(key)
         if cached is not None:
             return cached
+        n, indices = key
         dim = self.dim(n)
-        step = self.filtration.step(p).simplices
         cols = []
-        for i, s in enumerate(self.bases.get(n, [])):
-            if s in step:
-                col = [0] * dim
-                col[i] = 1
-                cols.append(col)
+        for i in indices:
+            col = [0] * dim
+            col[i] = 1
+            cols.append(col)
         L = hstack([IntMatrix.from_cols(cols, dim),
                     modulus_columns(self.modulus, dim)])
         self._lattices[key] = L
         return L
 
-    def _z(self, r: int, p: int, q: int) -> IntMatrix:
-        """Z^r_{p,q}: chains of F_p whose boundary drops r filtration steps."""
+    def zkey(self, r: int, p: int, q: int):
+        """Key of Z^r_{p,q}: the pair of lattice keys it depends on.
+
+        None outside the chain degrees, and (key of L_p, None) for r <= 0,
+        where Z^r_{p,q} is L_p itself.
+        """
         n = p + q
         if n < -1 or n > self.top + 1:
-            return IntMatrix.zeros(0, 0)
+            return None
         if r <= 0:
-            return self.lattice(p, n)
-        key = (r, p, q)
-        cached = self._zcache.get(key)
+            return (self.lattice_key(p, n), None)
+        return (self.lattice_key(p, n), self.lattice_key(p - r, n - 1))
+
+    def z_lattice(self, zkey) -> IntMatrix:
+        """Z^r_{p,q} = {x in L_p : dx in L_{p-r}}, from its key."""
+        if zkey is None:
+            return IntMatrix.zeros(0, 0)
+        lkey, below = zkey
+        if below is None:
+            return self.lattice(lkey)
+        cached = self._zcache.get(zkey)
         if cached is not None:
             return cached
-        L = self.lattice(p, n)
-        pre = preimage_lattice(self.chains.differential(n).matrix @ L,
-                               self.lattice(p - r, n - 1))
+        L = self.lattice(lkey)
+        pre = preimage_lattice(self.chains.differential(lkey[0]).matrix @ L,
+                               self.lattice(below))
         Z = L @ pre
-        self._zcache[key] = Z
+        self._zcache[zkey] = Z
         return Z
 
     # -- page access ----------------------------------------------------------
@@ -173,7 +212,7 @@ class SpectralSequence:
         if r not in self.pages:
             raise ValueError(f"page {r} not computed (1..{self.d_len + 1})")
         e = self.pages[r].get((p, q))
-        return e.group if e is not None else _TRIVIAL
+        return e.group if e is not None else FgAbGroup.zero()
 
     def differential(self, r: int, p: int, q: int) -> Optional[GroupHom]:
         """d^r out of (p, q); None when source or target is off the grid."""
@@ -221,24 +260,35 @@ class NiveauData:
 
 
 def niveau_filtration(spec: SpectralSequence) -> NiveauData:
+    """Each subquotient is presented once per distinct pair of Z keys: the
+    filtration by p stabilises, and its later steps repeat earlier ones."""
     homology = {}
     subgroup = {}
     graded = {}
     for n in range(spec.top + 1):
         dim = spec.dim(n)
+        homology[n] = spec.base_homology(n)[0].iso_invariants()
         den = hstack([spec.chains.differential(n + 1).matrix,
                       spec.chains.group(n).relation_cols()])
-        d_n = spec.chains.differential(n)
-        cycles = preimage_lattice(d_n.matrix, d_n.target.relation_cols())
-        homology[n] = present_subquotient(dim, cycles, den)[0].iso_invariants()
-        prev = den
+        lattices = {None: den}  # None: the boundaries alone
+        invariants = {}
+
+        def present(key, below):
+            inv = invariants.get((key, below))
+            if inv is None:
+                inv = present_subquotient(
+                    dim, lattices[key], lattices[below])[0].iso_invariants()
+                invariants[(key, below)] = inv
+            return inv
+
+        prev = None
         for p in range(spec.d_len + 1):
-            zp = hstack([spec._z(p + 1, p, n - p), den])
-            subgroup[(p, n)] = present_subquotient(
-                dim, zp, den)[0].iso_invariants()
-            graded[(p, n)] = present_subquotient(
-                dim, zp, prev)[0].iso_invariants()
-            prev = zp
+            key = spec.zkey(p + 1, p, n - p)
+            if key not in lattices:
+                lattices[key] = hstack([spec.z_lattice(key), den])
+            subgroup[(p, n)] = present(key, None)
+            graded[(p, n)] = present(key, prev)
+            prev = key
     return NiveauData(homology, subgroup, graded)
 
 
@@ -322,9 +372,9 @@ def compare_first_page(spec: SpectralSequence) -> list:
 def _middle_homology(group: FgAbGroup, into: Optional[GroupHom],
                      out: Optional[GroupHom]) -> tuple:
     if into is None:
-        into = GroupHom.zero_map(_TRIVIAL, group)
+        into = GroupHom.zero_map(FgAbGroup.zero(), group)
     if out is None:
-        out = GroupHom.zero_map(group, _TRIVIAL)
+        out = GroupHom.zero_map(group, FgAbGroup.zero())
     cx = ChainComplex(0, 2, {0: out.target, 1: group, 2: into.source},
                       {1: out, 2: into})
     return cx.homology(1).iso_invariants()

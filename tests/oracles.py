@@ -10,6 +10,9 @@ every entry: the sparse-aware kernels that replaced them must agree with
 them exactly.  reference_eval_sequent is the package's earlier sequent
 evaluator, which walks the formula tree once per assignment on carrier
 tuples: the compiled evaluator must agree with it exactly.
+reference_pages is the package's earlier spectral-sequence loop, which
+builds every Z lattice, page entry and niveau subquotient anew for each
+(r, p, q): the content-keyed SpectralSequence must agree with it exactly.
 """
 
 import itertools
@@ -17,8 +20,19 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from homlab.fga import IntMatrix, smith
+from homlab.fga import (
+    GroupHom,
+    IntMatrix,
+    QuotientExpresser,
+    hstack,
+    modulus_columns,
+    preimage_lattice,
+    present_subquotient,
+    smith,
+)
 from homlab.logic import Add, And, App, EvalResult, Eq, Exists, Neg, Top, Var, Zero
+from homlab.model import relative_chain_complex
+from homlab.simp import SimpPair, SimplicialComplex
 
 
 def minor_gcd_invariants(rows):
@@ -179,3 +193,86 @@ def reference_eval_sequent(st, seq):
         if not _eval_formula(st, seq.consequent, env):
             return EvalResult(False, dict(zip(names, values)))
     return EvalResult(True)
+
+
+def reference_pages(filtration, modulus=0):
+    """Pages, differentials and niveau data of a filtered complex.
+
+    Returns (pages, diffs, homology, subgroup, graded): pages[r][(p, q)] is
+    (relations, reps) of E^r_{p,q}, diffs[r][(p, q)] the matrix of d^r out
+    of (p, q), and the last three are the invariants of NiveauData.
+    """
+    base = filtration.base
+    top = max(base.dim(), 0)
+    d_len = filtration.length()
+    chains, bases = relative_chain_complex(
+        SimpPair(base, SimplicialComplex.empty()), modulus, -1, top + 1)
+
+    def dim(n):
+        return len(bases.get(n, []))
+
+    def lattice(p, n):
+        step = filtration.step(p).simplices
+        cols = []
+        for i, s in enumerate(bases.get(n, [])):
+            if s in step:
+                col = [0] * dim(n)
+                col[i] = 1
+                cols.append(col)
+        return hstack([IntMatrix.from_cols(cols, dim(n)),
+                       modulus_columns(modulus, dim(n))])
+
+    def z(r, p, q):
+        n = p + q
+        if n < -1 or n > top + 1:
+            return IntMatrix.zeros(0, 0)
+        if r <= 0:
+            return lattice(p, n)
+        L = lattice(p, n)
+        return L @ preimage_lattice(chains.differential(n).matrix @ L,
+                                    lattice(p - r, n - 1))
+
+    grid = sorted((p, n - p) for p in range(d_len + 1)
+                  for n in range(min(p, top) + 1))
+    pages, diffs = {}, {}
+    for r in range(1, d_len + 2):
+        entries = {}
+        for (p, q) in grid:
+            n = p + q
+            den = hstack([chains.differential(n + 1).matrix
+                          @ z(r - 1, p + r - 1, q - r + 2),
+                          z(r - 1, p - 1, q + 1)])
+            group, reps = present_subquotient(dim(n), z(r, p, q), den)
+            entries[(p, q)] = (group, reps, QuotientExpresser(reps, den))
+        pages[r] = {pq: (g.relations, reps)
+                    for pq, (g, reps, _) in entries.items()}
+        diffs[r] = {}
+        for (p, q) in grid:
+            tgt = (p - r, q + r - 1)
+            if tgt not in entries:
+                continue
+            src_g, src_reps, _ = entries[(p, q)]
+            tgt_g, _, tgt_x = entries[tgt]
+            d = chains.differential(p + q).matrix
+            cols = [list(tgt_x.express(d.apply(src_reps.col(j))))
+                    for j in range(src_reps.cols)]
+            hom = GroupHom(src_g, tgt_g, IntMatrix.from_cols(cols, tgt_g.ngens))
+            hom.require_well_defined()
+            diffs[r][(p, q)] = hom.matrix
+
+    homology, subgroup, graded = {}, {}, {}
+    for n in range(top + 1):
+        den = hstack([chains.differential(n + 1).matrix,
+                      chains.group(n).relation_cols()])
+        d_n = chains.differential(n)
+        cycles = preimage_lattice(d_n.matrix, d_n.target.relation_cols())
+        homology[n] = present_subquotient(dim(n), cycles, den)[0].iso_invariants()
+        prev = den
+        for p in range(d_len + 1):
+            zp = hstack([z(p + 1, p, n - p), den])
+            subgroup[(p, n)] = present_subquotient(
+                dim(n), zp, den)[0].iso_invariants()
+            graded[(p, n)] = present_subquotient(
+                dim(n), zp, prev)[0].iso_invariants()
+            prev = zp
+    return pages, diffs, homology, subgroup, graded

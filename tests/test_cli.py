@@ -214,6 +214,33 @@ def test_spectral_summary_fields(tmp_path):
     assert body["pages"]["1"]["1,0"] == [3, []]
 
 
+def test_runs_share_no_state(tmp_path, monkeypatch):
+    # every reuse of Smith forms must live inside one run: a cache that
+    # outlived it would make the second run cheaper than the first
+    import homlab.fga as fga
+    calls = []
+    smith = fga.smith
+
+    def counted(A):
+        calls.append((A.rows, A.cols))
+        return smith(A)
+
+    monkeypatch.setattr(fga, "smith", counted)
+    text = ("complex B = {abcd}\n"
+            "complex S = {abc, abd, acd, bcd}\n"
+            "complex P = {a}\n"
+            "complex E = {ab, ac, ad, bc, bd, cd}\n"
+            "filtration F on S = [P, P, E, S]\n"
+            "spectral F\n")
+    counts = []
+    for name in ("a.hwb", "b.hwb"):
+        start = len(calls)
+        rc, report = _run(tmp_path, text, "--coeff", "Zmod2", name=name)
+        assert rc == 0 and report["results"][0]["converges"] is True
+        counts.append(calls[start:])
+    assert counts[0] and counts[0] == counts[1]
+
+
 # -- end-algebra ---------------------------------------------------------------
 
 

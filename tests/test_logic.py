@@ -160,6 +160,45 @@ def test_unused_variable_takes_its_first_element():
         "w": (0,), "x": (1,), "v": (0,)}
 
 
+def circle_structure(modulus):
+    circle = skeleton(SimplicialComplex.from_maximal_simplices([("a", "b", "c")]), 1)
+    b = DiagramBuilder()
+    b.add_complex("S", circle)
+    b.add_pair("S")
+    model = HomologyModel(b.build(), modulus=modulus, window=(0, 1))
+    sig = generate_signature(model.diagram, (0, 1))
+    return sig, export_finite_structure(model, sig)
+
+
+def test_sum_tables_are_built_on_demand():
+    # two sorts of 997 elements: a sum table each would hold 2 * 997**2
+    # positions, and no sequent here adds
+    sig, st = circle_structure(997)
+    assert sorted(len(c) for c in st.carriers.values()) == [997, 997]
+    assert eval_sequent(st, Sequent((), Top(), Top())).valid
+    assert st.sums == {}
+
+
+def test_built_sum_table_is_coordinatewise_addition():
+    diagram = cycle_diagram()
+    model = HomologyModel(diagram, modulus=4, window=(0, 1))
+    sig = generate_signature(diagram, (0, 1))
+    st = export_finite_structure(model, sig)
+    s = "h1(C,A)"
+    seq = Sequent((("x", s), ("y", s)), Top(),
+                  Eq(Add(Var("x"), Var("y")), Add(Var("y"), Var("x"))))
+    check_sequent(sig, seq)
+    assert eval_sequent(st, seq).valid
+    assert list(st.sums) == [s]
+    for sort, carrier in st.carriers.items():
+        moduli = st.moduli[sort]
+        table = st.sum_table(sort)
+        assert table == [
+            [carrier.index(tuple((x + y) % m for x, y, m in zip(a, b, moduli)))
+             for b in carrier] for a in carrier]
+        assert st.sum_table(sort) is table
+
+
 def test_tampered_table_is_caught():
     diagram = interval_triple_diagram()
     model = HomologyModel(diagram, modulus=2, window=(0, 1))

@@ -25,6 +25,8 @@ from homlab.simp import (
     subcomplex,
 )
 
+from oracles import reference_pages
+
 
 def circle():
     return skeleton(SimplicialComplex.from_maximal_simplices([("a", "b", "c")]), 1)
@@ -167,3 +169,62 @@ def test_summary_is_json_ready():
     assert '"converges": true' in text
     assert summary["stable_page"] == 3
     assert summary["pages"]["1"]["2,0"] == [0, [4]]
+
+
+def random_filtration(rng, x, length):
+    """Steps of random simplices of dimension at most p, closed under
+    faces, each containing the one before; steps often repeat."""
+    steps, chosen = [], []
+    for p in range(length):
+        chosen += [s for s in sorted(x.simplices)
+                   if len(s) <= p + 1 and rng.random() < 0.3]
+        steps.append(subcomplex(x, chosen))
+    return Filtration(x, steps + [x])
+
+
+def reference_filtrations():
+    x = sphere()
+    point = subcomplex(x, [("a",)])
+    rng = random.Random(20261018)
+    return [
+        Filtration.skeletal(circle()),
+        Filtration.skeletal(x),
+        point_circle_disk(),
+        # repeated steps: equal lattices at different p
+        Filtration(x, [point, point, skeleton(x, 1), x]),
+        Filtration(x, [point, point, skeleton(x, 1), skeleton(x, 1), x, x]),
+        # d^2 and d^3 out of H_1(disk, vertices) hit the vertices
+        Filtration(disk(), [skeleton(disk(), 0)] * 2 + [disk()]),
+        Filtration(disk(), [skeleton(disk(), 0)] * 3 + [disk()]),
+        Filtration(circle(), [subcomplex(circle(), [("a",)]),
+                              subcomplex(circle(), [("a", "b"), ("a", "c")]),
+                              circle()]),
+        Filtration.skeletal(random_two_complex(rng)),
+        Filtration.skeletal(random_two_complex(rng)),
+    ] + [random_filtration(rng, random_two_complex(rng), rng.randint(2, 4))
+         for _ in range(6)]
+
+
+@pytest.mark.parametrize("modulus", [0, 2])
+def test_pages_match_reference(modulus):
+    for i, filt in enumerate(reference_filtrations()):
+        spec = run_pages(filt, modulus)
+        pages, diffs, homology, subgroup, graded = reference_pages(filt, modulus)
+        assert sorted(spec.pages) == sorted(pages), i
+        for r, entries in pages.items():
+            got = {pq: (e.group.relations, e.reps)
+                   for pq, e in spec.pages[r].items()}
+            assert got == entries, (i, r)
+            got = {pq: h.matrix for pq, h in spec.diffs[r].items()}
+            assert got == diffs[r], (i, r)
+        niv = niveau_filtration(spec)
+        assert niv.homology == homology, i
+        assert niv.subgroup == subgroup, i
+        assert niv.graded == graded, i
+
+
+def test_stable_entries_are_shared():
+    spec = run_pages(Filtration.skeletal(sphere()))
+    # E^2_{0,0} and E^3_{0,0} are cut out by the same three lattices
+    assert spec.entry(2, 0, 0) is spec.entry(3, 0, 0)
+    assert spec.entry(1, 0, 0) is not spec.entry(2, 0, 0)
