@@ -788,13 +788,19 @@ def present_subquotient(ambient_dim: int, numerator: IntMatrix,
 
 
 class QuotientExpresser:
-    """Rewrites ambient vectors as classes of a presented subquotient."""
+    """Rewrites ambient vectors as classes of a presented subquotient.
+
+    The solver is built on the first `express`, so an expresser that is
+    never asked costs no Smith form."""
 
     def __init__(self, basis: IntMatrix, denominator: IntMatrix):
         self.basis = basis
-        self._solver = LinearSolver(hstack([basis, denominator]))
+        self._denominator = denominator
+        self._solver = None
 
     def express(self, vec: Sequence[int]) -> Optional[tuple]:
+        if self._solver is None:
+            self._solver = LinearSolver(hstack([self.basis, self._denominator]))
         x = self._solver.solve(vec)
         if x is None:
             return None

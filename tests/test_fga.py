@@ -10,6 +10,7 @@ from homlab.fga import (
     IllDefinedHomError,
     IntMatrix,
     LinearSolver,
+    QuotientExpresser,
     composite_is_zero,
     direct_sum,
     hnf_rows,
@@ -160,6 +161,25 @@ def test_apply_and_matmul_match_dense_reference():
         IntMatrix.identity(2).apply([1])
     with pytest.raises(ValueError):
         IntMatrix.identity(2) @ IntMatrix.identity(3)
+
+
+def test_solvers_are_built_once_and_on_demand(monkeypatch):
+    import homlab.fga as fga
+    calls = []
+    real = fga.smith
+    monkeypatch.setattr(fga, "smith", lambda A: calls.append(A) or real(A))
+    src = FgAbGroup(1, IntMatrix([[4]]))
+    tgt = FgAbGroup(2, IntMatrix([[2, 0], [0, 6]]))
+    f = GroupHom(src, tgt, IntMatrix([[1], [3]]))
+    assert f.well_defined_violation() is None
+    assert not f.is_zero()
+    assert tgt.iso_invariants() == (0, (2, 6))
+    assert calls == [tgt.relation_cols()]  # one Smith form for the target
+    # an expresser builds its solver on the first express, and only then
+    x = QuotientExpresser(IntMatrix.identity(2), tgt.relation_cols())
+    assert len(calls) == 1
+    assert x.express((3, 7)) is not None and x.express((1, 0)) is not None
+    assert len(calls) == 2
 
 
 def test_solve_matches_dense_reference():
