@@ -15,6 +15,10 @@ from typing import Iterable, Optional, Sequence
 class IntMatrix:
     """Immutable dense matrix of Python ints, row-major.
 
+    The constructor converts every entry with `int` and checks the shape;
+    the package's own operations, whose entries are already ints, build
+    through `_of` and skip both.
+
     >>> IntMatrix([[1, 2], [3, 4]]) @ IntMatrix.identity(2)
     IntMatrix([[1, 2], [3, 4]])
     """
@@ -38,29 +42,43 @@ class IntMatrix:
         self.data = tup
 
     @classmethod
+    def _of(cls, data: tuple, rows: int, cols: int) -> "IntMatrix":
+        """Matrix on `data`, a tuple of `rows` int tuples of length `cols`,
+        taken as it is."""
+        self = object.__new__(cls)
+        self.rows = rows
+        self.cols = cols
+        self.data = data
+        return self
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], n, n)
+        return cls._of(tuple(tuple(1 if i == j else 0 for j in range(n))
+                             for i in range(n)), n, n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)], rows, cols)
+        return cls._of(((0,) * cols,) * rows, rows, cols)
 
     @classmethod
     def from_cols(cls, cols: Sequence[Sequence[int]], nrows: int) -> "IntMatrix":
         for c in cols:
             if len(c) != nrows:
                 raise ValueError("column of wrong length")
-        return cls([[c[i] for c in cols] for i in range(nrows)], nrows, len(cols))
+        data = tuple(zip(*cols)) if cols else ((),) * nrows
+        return cls._of(data, nrows, len(cols))
 
     def col(self, j: int) -> tuple:
         return tuple(self.data[i][j] for i in range(self.rows))
 
     def columns(self) -> list:
-        return [self.col(j) for j in range(self.cols)]
+        """All columns as tuples, in one pass over the rows."""
+        if not self.rows:
+            return [()] * self.cols
+        return list(zip(*self.data))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix([[self.data[i][j] for i in range(self.rows)]
-                          for j in range(self.cols)], self.cols, self.rows)
+        return IntMatrix._of(tuple(self.columns()), self.cols, self.rows)
 
     def apply(self, vec: Sequence[int]) -> tuple:
         """Matrix times column vector; only the nonzero entries of `vec`
@@ -84,23 +102,25 @@ class IntMatrix:
                 if a:
                     for k, v in terms:
                         acc[k] += a * v
-            out.append(acc)
-        return IntMatrix(out, self.rows, n)
+            out.append(tuple(acc))
+        return IntMatrix._of(tuple(out), self.rows, n)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in addition")
-        return IntMatrix([[a + b for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.data, other.data)], self.rows, self.cols)
+        return IntMatrix._of(tuple(tuple(a + b for a, b in zip(r1, r2))
+                                   for r1, r2 in zip(self.data, other.data)),
+                             self.rows, self.cols)
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         return self + (-other)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-a for a in row] for row in self.data], self.rows, self.cols)
+        return self.scaled(-1)
 
     def scaled(self, k: int) -> "IntMatrix":
-        return IntMatrix([[k * a for a in row] for row in self.data], self.rows, self.cols)
+        return IntMatrix._of(tuple(tuple(k * a for a in row) for row in self.data),
+                             self.rows, self.cols)
 
     def is_zero(self) -> bool:
         return all(a == 0 for row in self.data for a in row)
@@ -148,8 +168,8 @@ def hstack(mats: Sequence[IntMatrix]) -> IntMatrix:
     rows = mats[0].rows
     if any(m.rows != rows for m in mats):
         raise ValueError("hstack with differing row counts")
-    return IntMatrix([sum((list(m.data[i]) for m in mats), []) for i in range(rows)],
-                     rows, sum(m.cols for m in mats))
+    data = tuple(sum(parts, ()) for parts in zip(*(m.data for m in mats)))
+    return IntMatrix._of(data, rows, sum(m.cols for m in mats))
 
 
 def vstack(mats: Sequence[IntMatrix]) -> IntMatrix:
@@ -159,24 +179,20 @@ def vstack(mats: Sequence[IntMatrix]) -> IntMatrix:
     cols = mats[0].cols
     if any(m.cols != cols for m in mats):
         raise ValueError("vstack with differing column counts")
-    data = []
-    for m in mats:
-        data.extend(list(r) for r in m.data)
-    return IntMatrix(data, sum(m.rows for m in mats), cols)
+    data = tuple(r for m in mats for r in m.data)
+    return IntMatrix._of(data, sum(m.rows for m in mats), cols)
 
 
 def block_diag(mats: Sequence[IntMatrix]) -> IntMatrix:
     rows = sum(m.rows for m in mats)
     cols = sum(m.cols for m in mats)
-    out = [[0] * cols for _ in range(rows)]
-    r0 = c0 = 0
+    out = []
+    c0 = 0
     for m in mats:
-        for i in range(m.rows):
-            for j in range(m.cols):
-                out[r0 + i][c0 + j] = m.data[i][j]
-        r0 += m.rows
+        left, right = (0,) * c0, (0,) * (cols - c0 - m.cols)
+        out.extend(left + row + right for row in m.data)
         c0 += m.cols
-    return IntMatrix(out, rows, cols)
+    return IntMatrix._of(tuple(out), rows, cols)
 
 
 def modulus_columns(m: int, dim: int) -> IntMatrix:
@@ -186,143 +202,209 @@ def modulus_columns(m: int, dim: int) -> IntMatrix:
     return IntMatrix.identity(dim).scaled(m)
 
 
+def _dense_rows(rows: Sequence[dict], n: int) -> tuple:
+    """Int tuples of length n from sparse rows {index: entry}."""
+    out = []
+    for r in rows:
+        row = [0] * n
+        for j, v in r.items():
+            row[j] = v
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _axpy(x: dict, y: dict, q: int) -> None:
+    """x -= q * y on sparse vectors {index: nonzero entry}, for q != 0;
+    entries that become zero are dropped."""
+    for k, b in y.items():
+        v = x.get(k, 0) - q * b
+        if v:
+            x[k] = v
+        else:
+            del x[k]
+
+
 class SmithDecomposition:
-    """U @ A @ V = D with U, V unimodular and D a non-negative divisor chain."""
+    """U @ A @ V = D with U, V unimodular and D a non-negative divisor chain.
 
-    __slots__ = ("U", "D", "V")
+    The decomposition is kept in the sparse form `smith` leaves it in:
+    the rows of U and the columns of V as dicts {index: nonzero entry},
+    and the diagonal of D, whose first `rank` entries are nonzero.
+    `LinearSolver`, `kernel`, `rank` and `CanonicalForm` read that form;
+    the dense matrices `U`, `D` and `V` are built when first read and
+    kept.
+    """
 
-    def __init__(self, U: IntMatrix, D: IntMatrix, V: IntMatrix):
-        self.U = U
-        self.D = D
-        self.V = V
+    __slots__ = ("shape", "rank", "_urows", "_vcols", "_diag", "_U", "_D", "_V")
+
+    def __init__(self, shape: tuple, urows: list, vcols: list, diag: tuple):
+        self.shape = shape
+        self.rank = sum(1 for d in diag if d)
+        self._urows = urows
+        self._vcols = vcols
+        self._diag = diag
+        self._U = self._D = self._V = None
+
+    @property
+    def U(self) -> IntMatrix:
+        if self._U is None:
+            m = self.shape[0]
+            self._U = IntMatrix._of(_dense_rows(self._urows, m), m, m)
+        return self._U
+
+    @property
+    def D(self) -> IntMatrix:
+        if self._D is None:
+            m, n = self.shape
+            rows = [{i: d} for i, d in enumerate(self._diag)]
+            rows += [{}] * (m - len(rows))
+            self._D = IntMatrix._of(_dense_rows(rows, n), m, n)
+        return self._D
+
+    @property
+    def V(self) -> IntMatrix:
+        if self._V is None:
+            n = self.shape[1]
+            self._V = IntMatrix._of(_dense_rows(self._vcols, n), n, n).transpose()
+        return self._V
 
     def diagonal(self) -> tuple:
-        return tuple(self.D.data[i][i] for i in range(min(self.D.rows, self.D.cols)))
+        return self._diag
 
 
 def smith(A: IntMatrix) -> SmithDecomposition:
     """Smith normal form over Z.
 
-    Pivots are chosen as a minimal nonzero absolute value (first such in
-    row-major scan order), which keeps intermediate entries small and the
-    output deterministic.  Two shortcuts leave the output unchanged:
+    Pivots are chosen as a minimal nonzero absolute value, the first such
+    in row-major scan order (lowest row, then lowest column), which keeps
+    intermediate entries small and the output deterministic.  Two
+    shortcuts leave the output unchanged:
 
-    - the pivot scan stops at the first entry with |e| = 1, because no
-      nonzero entry is smaller and a later entry of equal size never
-      replaces an earlier one, so the rule would pick that entry anyway;
+    - the pivot scan stops at the first row holding an entry with
+      |e| = 1, because no nonzero entry is smaller and a later entry of
+      equal size never replaces an earlier one, so the rule would pick
+      that entry anyway;
     - when the pivot is p = 1, the scan for an entry of the remaining
       block not divisible by p is skipped, because every integer is
       divisible by 1 and the scan could only come back empty.
 
-    >>> smith(IntMatrix([[2, 4], [6, 8]])).diagonal()
+    Elimination runs on sparse state: the rows of D and U are dicts
+    {column: nonzero entry} and the columns of V are dicts {row: nonzero
+    entry}, so a row or column operation costs the nonzeros it reads.
+    Two invariants at step t keep column operations local:
+
+    - rows above t hold only their diagonal entry, so a column swap
+      touches only rows t and below;
+    - once the row phase has cleared column t below the pivot, column t
+      of D is the pivot alone, so subtracting a multiple of it from a
+      later column changes only row t of D (and that column of V).
+
+    Every operation is the one dense elimination would make, in the same
+    order and on the same pivots; on the zero entries it skips, dense
+    elimination would add or move only zeros.  So U, D and V are entry
+    for entry those of the dense loop, kept as the test reference
+    `reference_smith`.
+
+    >>> A = IntMatrix([[2, 4], [6, 8]])
+    >>> s = smith(A)
+    >>> s.diagonal()
     (2, 4)
+    >>> s.U @ A @ s.V == s.D
+    True
     """
     m, n = A.rows, A.cols
-    D = [list(row) for row in A.data]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    D = [{j: e for j, e in enumerate(row) if e} for row in A.data]
+    U = [{i: 1} for i in range(m)]
+    V = [{j: 1} for j in range(n)]  # V[j] is column j of V
 
-    def row_sub(i, j, q):  # row_i -= q * row_j
-        D[i] = [a - q * b for a, b in zip(D[i], D[j])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
-
-    def col_sub(i, j, q):  # col_i -= q * col_j; rows with a zero in col_j keep col_i
-        for M in (D, V):
-            for row in M:
-                b = row[j]
-                if b:
-                    row[i] -= q * b
-
-    def row_swap(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
-
-    def col_swap(i, j):
-        for r in range(m):
-            D[r][i], D[r][j] = D[r][j], D[r][i]
-        for r in range(n):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
-
-    def row_neg(i):
-        D[i] = [-a for a in D[i]]
-        U[i] = [-a for a in U[i]]
-
-    def row_add(i, j):  # row_i += row_j
-        Di, Dj = D[i], D[j]
-        Ui, Uj = U[i], U[j]
-        for k in range(n):
-            Di[k] += Dj[k]
-        for k in range(m):
-            Ui[k] += Uj[k]
+    def col_swap(t, j):  # rows above t are zero in both columns
+        for i in range(t, m):
+            row = D[i]
+            a = row.pop(t, 0)
+            b = row.pop(j, 0)
+            if b:
+                row[t] = b
+            if a:
+                row[j] = a
+        V[t], V[j] = V[j], V[t]
 
     t = 0
     limit = min(m, n)
     while t < limit:
-        best = None
+        best = 0
         pivot = None
         for i in range(t, m):
             row = D[i]
-            for j in range(t, n):
-                e = row[j]
-                if e != 0:
-                    a = -e if e < 0 else e
-                    if best is None or a < best:
-                        best = a
-                        pivot = (i, j)
-                        if a == 1:
-                            break
-            if best == 1:
-                break
+            if row:
+                a = min(map(abs, row.values()))
+                if not best or a < best:
+                    best = a
+                    pivot = (i, min(j for j, e in row.items() if abs(e) == a))
+                    if a == 1:
+                        break
         if pivot is None:
             break
-        if pivot[0] != t:
-            row_swap(t, pivot[0])
-        if pivot[1] != t:
-            col_swap(t, pivot[1])
+        i, j = pivot
+        if i != t:
+            D[t], D[i] = D[i], D[t]
+            U[t], U[i] = U[i], U[t]
+        if j != t:
+            col_swap(t, j)
         while True:
-            if D[t][t] < 0:
-                row_neg(t)
-            p = D[t][t]
+            Dt, Ut = D[t], U[t]
+            p = Dt[t]
+            if p < 0:
+                Dt = D[t] = {k: -e for k, e in Dt.items()}
+                Ut = U[t] = {k: -e for k, e in Ut.items()}
+                p = -p
             dirty = False
             for i in range(t + 1, m):
-                if D[i][t]:
-                    row_sub(i, t, D[i][t] // p)
-                    if D[i][t]:  # remainder is a strictly smaller pivot
-                        row_swap(t, i)
+                Di = D[i]
+                e = Di.get(t)
+                if e:
+                    q = e // p
+                    if q:
+                        _axpy(Di, Dt, q)
+                        _axpy(U[i], Ut, q)
+                    if t in Di:  # remainder is a strictly smaller pivot
+                        D[t], D[i] = Di, Dt
+                        U[t], U[i] = U[i], Ut
                         dirty = True
                         break
             if dirty:
                 continue
-            for j in range(t + 1, n):
-                if D[t][j]:
-                    col_sub(j, t, D[t][j] // p)
-                    if D[t][j]:
-                        col_swap(t, j)
-                        dirty = True
-                        break
+            # column t of D is now the pivot alone, so col_j -= q * col_t
+            # changes row t of D and column j of V only
+            for j in sorted(Dt)[1:]:  # the columns after t, in order
+                e = Dt[j]
+                q = e // p
+                if q:
+                    _axpy(V[j], V[t], q)
+                r = e - q * p
+                if r:
+                    Dt[j] = r
+                    col_swap(t, j)
+                    dirty = True
+                    break
+                del Dt[j]
             if dirty:
                 continue
             if p == 1:
                 break
             # pivot row and column are clear; enforce divisibility of the rest
-            bad = None
-            for i in range(t + 1, m):
-                row = D[i]
-                for j in range(t + 1, n):
-                    if row[j] % p:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+            bad = next((i for i in range(t + 1, m)
+                        if any(e % p for e in D[i].values())), None)
             if bad is None:
                 break
-            row_add(t, bad)
+            _axpy(Dt, D[bad], -1)
+            _axpy(Ut, U[bad], -1)
         t += 1
-    return SmithDecomposition(IntMatrix(U, m, m), IntMatrix(D, m, n), IntMatrix(V, n, n))
+    diag = tuple(D[i][i] for i in range(t)) + (0,) * (limit - t)
+    return SmithDecomposition((m, n), U, V, diag)
 
 
 def rank(A: IntMatrix) -> int:
-    return sum(1 for d in smith(A).diagonal() if d != 0)
+    return smith(A).rank
 
 
 def solve(A: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
@@ -330,48 +412,39 @@ def solve(A: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
     return LinearSolver(A).solve(b)
 
 
-def _sparse_columns(M: IntMatrix) -> list:
-    """Column j of M as a pair (row indices, entries) of its nonzeros."""
-    cols = [([], []) for _ in range(M.cols)]
-    for i, row in enumerate(M.data):
-        for j, v in enumerate(row):
-            if v:
-                idx, val = cols[j]
-                idx.append(i)
-                val.append(v)
-    return [(tuple(idx), tuple(val)) for idx, val in cols]
-
-
 class LinearSolver:
     """Repeated exact solves against a fixed matrix, one Smith form.
 
     With U A V = D from `smith`, A x = b has the solutions x = V y where
-    D y = U b.  U and V are stored as sparse columns (the nonzero entries
-    of each column) next to the diagonal of D, and the dense
-    decomposition is dropped, so a solve multiplies and adds only the
-    nonzero entries of b and of y.  Only the columns of V facing a
-    nonzero diagonal entry are kept: y is zero everywhere else.
-    `diagonal` is the diagonal of D, padded with zeros to one entry per
-    row of A.
+    D y = U b.  The solver reads the decomposition's sparse form and
+    never builds dense U, D or V: it turns the sparse rows of U into
+    columns once, as (row, entry) pairs, and keeps the sparse columns of
+    V that face a nonzero diagonal entry, since y is zero everywhere
+    else.  A solve multiplies and adds only the nonzero entries of b, of
+    U b and of y.  `diagonal` is the diagonal of D, padded with zeros to
+    one entry per row of A.
     """
 
     def __init__(self, A: IntMatrix):
         self.A = A
         s = smith(A)
         diag = s.diagonal()
-        vcols = _sparse_columns(s.V)
         self.diagonal = diag + (0,) * (A.rows - len(diag))
-        self._ucols = _sparse_columns(s.U)
-        self._vcols = [vcols[i] if d else None for i, d in enumerate(diag)]
+        ucols = [[] for _ in range(A.rows)]
+        for i, row in enumerate(s._urows):
+            for j, u in row.items():
+                ucols[j].append((i, u))
+        self._ucols = ucols
+        self._vcols = s._vcols[:s.rank]
 
     def solve(self, b: Sequence[int]) -> Optional[tuple]:
         if len(b) != self.A.rows:
             raise ValueError("right-hand side of wrong length")
         c = {}  # U b, on its support
+        ucols = self._ucols
         for j, bj in enumerate(b):
             if bj:
-                idx, val = self._ucols[j]
-                for i, u in zip(idx, val):
+                for i, u in ucols[j]:
                     c[i] = c.get(i, 0) + u * bj
         x = [0] * self.A.cols
         for i, ci in c.items():
@@ -381,21 +454,17 @@ class LinearSolver:
             if not d or ci % d:
                 return None
             yi = ci // d
-            idx, val = self._vcols[i]
-            for r, v in zip(idx, val):
+            for r, v in self._vcols[i].items():
                 x[r] += v * yi
         return tuple(x)
 
 
 def kernel(A: IntMatrix) -> IntMatrix:
-    """Matrix whose columns are a basis of the integer kernel of A."""
+    """Matrix whose columns are a basis of the integer kernel of A: the
+    columns of V facing a zero diagonal entry."""
     s = smith(A)
-    cols = []
-    for j in range(A.cols):
-        d = s.D.data[j][j] if j < A.rows else 0
-        if d == 0:
-            cols.append(s.V.col(j))
-    return IntMatrix.from_cols(cols, A.cols)
+    cols = s._vcols[s.rank:]
+    return IntMatrix._of(_dense_rows(cols, A.cols), len(cols), A.cols).transpose()
 
 
 def hnf_rows(A: IntMatrix) -> IntMatrix:
@@ -464,7 +533,7 @@ def preimage_lattice(M: IntMatrix, L: IntMatrix) -> IntMatrix:
 
 def unimodular_inverse(M: IntMatrix) -> IntMatrix:
     s = smith(M)
-    if s.D != IntMatrix.identity(M.rows) or M.rows != M.cols:
+    if M.rows != M.cols or any(d != 1 for d in s.diagonal()):
         raise ValueError("matrix is not unimodular")
     return s.V @ s.U
 
@@ -618,7 +687,7 @@ class GroupHom:
         if diff.is_zero():
             return True
         solver = self.target.relation_solver()
-        return all(solver.solve(diff.col(j)) is not None for j in range(diff.cols))
+        return all(solver.solve(c) is not None for c in diff.columns())
 
     def is_zero(self) -> bool:
         return self.equal_to(GroupHom.zero_map(self.source, self.target))
@@ -667,8 +736,8 @@ def hom_image(f: GroupHom) -> tuple:
     Q = lattice_basis(hstack([f.matrix, rel_cols]))
     solver = LinearSolver(Q)
     rel_rows = []
-    for j in range(rel_cols.cols):
-        x = solver.solve(rel_cols.col(j))
+    for c in rel_cols.columns():
+        x = solver.solve(c)
         if x is None:
             raise RuntimeError("target relation escaped the image lattice")
         rel_rows.append(list(x))
@@ -721,8 +790,7 @@ def composite_is_zero(f: GroupHom, g: GroupHom) -> Optional[tuple]:
         raise ValueError("maps do not compose")
     comp = g.matrix @ f.matrix
     solver = g.target.relation_solver()
-    for j in range(comp.cols):
-        c = comp.col(j)
+    for c in comp.columns():
         if any(c) and solver.solve(c) is None:
             return c
     return None
@@ -735,8 +803,7 @@ def kernel_in_image(f: GroupHom, g: GroupHom) -> Optional[tuple]:
     img = _image_lattice(f)
     ker = _kernel_lattice(g)
     solver = LinearSolver(img)
-    for j in range(ker.cols):
-        c = ker.col(j)
+    for c in ker.columns():
         if solver.solve(c) is None:
             return c
     return None
@@ -779,8 +846,8 @@ def present_subquotient(ambient_dim: int, numerator: IntMatrix,
     P = lattice_basis(numerator)
     solver = LinearSolver(P)
     rel_rows = []
-    for j in range(denominator.cols):
-        x = solver.solve(denominator.col(j))
+    for c in denominator.columns():
+        x = solver.solve(c)
         if x is None:
             raise ValueError("denominator lattice is not inside the numerator")
         rel_rows.append(list(x))
@@ -821,10 +888,7 @@ class CanonicalForm:
         s = smith(B)
         self.U = s.U
         self.Uinv = unimodular_inverse(s.U)
-        diag = []
-        for i in range(group.ngens):
-            d = s.D.data[i][i] if i < B.cols else 0
-            diag.append(d)
+        diag = s.diagonal() + (0,) * (group.ngens - len(s.diagonal()))
         self.positions = tuple((i, d) for i, d in enumerate(diag) if d != 1)
         self.torsion = tuple(d for _, d in self.positions if d >= 2)
         self.free_rank = sum(1 for _, d in self.positions if d == 0)

@@ -5,9 +5,9 @@ than the package (minor gcds instead of elimination, Fraction Gaussian
 elimination instead of integer Smith form) so that agreement is evidence,
 not tautology.
 
-The dense_* functions are the package's earlier dense kernels, which visit
-every entry: the sparse-aware kernels that replaced them must agree with
-them exactly.  reference_eval_sequent is the package's earlier sequent
+The dense_* functions and reference_smith are the package's earlier dense
+kernels, which visit every entry: the sparse-aware kernels that replaced
+them must agree with them exactly.  reference_eval_sequent is the package's earlier sequent
 evaluator, which walks the formula tree once per assignment on carrier
 tuples: the compiled evaluator must agree with it exactly.
 reference_pages is the package's earlier spectral-sequence loop, which
@@ -28,7 +28,6 @@ from homlab.fga import (
     modulus_columns,
     preimage_lattice,
     present_subquotient,
-    smith,
 )
 from homlab.logic import Add, And, App, EvalResult, Eq, Exists, Neg, Top, Var, Zero
 from homlab.model import relative_chain_complex
@@ -110,6 +109,114 @@ def quotient_invariants(ngens, relation_rows):
     return ngens - len(inv), [d for d in inv if d >= 2]
 
 
+def reference_smith(A):
+    """(U, D, V) of the Smith form by the package's earlier dense loop,
+    which runs every row and column operation on whole lists: the sparse
+    `smith` must give the same three matrices, entry for entry."""
+    m, n = A.rows, A.cols
+    D = [list(row) for row in A.data]
+    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def row_sub(i, j, q):  # row_i -= q * row_j
+        D[i] = [a - q * b for a, b in zip(D[i], D[j])]
+        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
+
+    def col_sub(i, j, q):  # col_i -= q * col_j; rows with a zero in col_j keep col_i
+        for M in (D, V):
+            for row in M:
+                b = row[j]
+                if b:
+                    row[i] -= q * b
+
+    def row_swap(i, j):
+        D[i], D[j] = D[j], D[i]
+        U[i], U[j] = U[j], U[i]
+
+    def col_swap(i, j):
+        for r in range(m):
+            D[r][i], D[r][j] = D[r][j], D[r][i]
+        for r in range(n):
+            V[r][i], V[r][j] = V[r][j], V[r][i]
+
+    def row_neg(i):
+        D[i] = [-a for a in D[i]]
+        U[i] = [-a for a in U[i]]
+
+    def row_add(i, j):  # row_i += row_j
+        Di, Dj = D[i], D[j]
+        Ui, Uj = U[i], U[j]
+        for k in range(n):
+            Di[k] += Dj[k]
+        for k in range(m):
+            Ui[k] += Uj[k]
+
+    t = 0
+    limit = min(m, n)
+    while t < limit:
+        best = None
+        pivot = None
+        for i in range(t, m):
+            row = D[i]
+            for j in range(t, n):
+                e = row[j]
+                if e != 0:
+                    a = -e if e < 0 else e
+                    if best is None or a < best:
+                        best = a
+                        pivot = (i, j)
+                        if a == 1:
+                            break
+            if best == 1:
+                break
+        if pivot is None:
+            break
+        if pivot[0] != t:
+            row_swap(t, pivot[0])
+        if pivot[1] != t:
+            col_swap(t, pivot[1])
+        while True:
+            if D[t][t] < 0:
+                row_neg(t)
+            p = D[t][t]
+            dirty = False
+            for i in range(t + 1, m):
+                if D[i][t]:
+                    row_sub(i, t, D[i][t] // p)
+                    if D[i][t]:  # remainder is a strictly smaller pivot
+                        row_swap(t, i)
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            for j in range(t + 1, n):
+                if D[t][j]:
+                    col_sub(j, t, D[t][j] // p)
+                    if D[t][j]:
+                        col_swap(t, j)
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            if p == 1:
+                break
+            # pivot row and column are clear; enforce divisibility of the rest
+            bad = None
+            for i in range(t + 1, m):
+                row = D[i]
+                for j in range(t + 1, n):
+                    if row[j] % p:
+                        bad = i
+                        break
+                if bad is not None:
+                    break
+            if bad is None:
+                break
+            row_add(t, bad)
+        t += 1
+    return IntMatrix(U, m, m), IntMatrix(D, m, n), IntMatrix(V, n, n)
+
+
 def dense_apply(A, vec):
     """A times vec, summing over every column."""
     if len(vec) != A.cols:
@@ -130,18 +237,18 @@ def dense_solve(A, b):
     """One integer solution of A x = b through the dense Smith form, or None."""
     if len(b) != A.rows:
         raise ValueError("right-hand side of wrong length")
-    s = smith(A)
-    c = dense_apply(s.U, b)
+    U, D, V = reference_smith(A)
+    c = dense_apply(U, b)
     y = [0] * A.cols
     for i in range(A.rows):
-        d = s.D.data[i][i] if i < A.cols else 0
+        d = D.data[i][i] if i < A.cols else 0
         if d:
             if c[i] % d:
                 return None
             y[i] = c[i] // d
         elif c[i]:
             return None
-    return dense_apply(s.V, y)
+    return dense_apply(V, y)
 
 
 def _eval_term(st, term, env):

@@ -1,7 +1,12 @@
+import doctest
 import hashlib
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import homlab.fga
 
 from homlab.fga import (
     CanonicalForm,
@@ -11,6 +16,7 @@ from homlab.fga import (
     IntMatrix,
     LinearSolver,
     QuotientExpresser,
+    block_diag,
     composite_is_zero,
     direct_sum,
     hnf_rows,
@@ -29,6 +35,7 @@ from homlab.fga import (
     smith,
     solve,
     unimodular_inverse,
+    vstack,
 )
 
 from oracles import (
@@ -38,6 +45,7 @@ from oracles import (
     frac_nullity,
     minor_gcd_invariants,
     quotient_invariants,
+    reference_smith,
 )
 
 
@@ -450,3 +458,129 @@ def test_hnf_rows_shape():
     assert H.rows == 1
     got = hstack([H, H])
     assert got.rows == 1
+
+
+def test_int_matrix_constructor_converts_and_checks():
+    M = IntMatrix([[True, 2]])
+    assert M.data == ((1, 2),)
+    assert all(type(x) is int for row in M.data for x in row)
+    with pytest.raises(ValueError):
+        IntMatrix([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        IntMatrix([[1]], 2, 1)
+
+
+def test_internal_constructions_match_public_constructor():
+    # operations that skip the int conversion still give int-tuple rows
+    # equal to a matrix built through the public constructor
+    rng = random.Random(71)
+    for m, n in shapes(rng, 8, 5):
+        A = sparse_matrix(rng, m, n, 0.5)
+        B = sparse_matrix(rng, m, n, 0.5)
+        rows = [list(r) for r in A.data]
+        assert A.transpose() == IntMatrix([[rows[i][j] for i in range(m)] for j in range(n)], n, m)
+        assert A.columns() == [A.col(j) for j in range(n)]
+        assert IntMatrix.from_cols(A.columns(), m) == A
+        assert A + B == IntMatrix([[a + b for a, b in zip(r, s)] for r, s in zip(A.data, B.data)], m, n)
+        assert A - B == IntMatrix([[a - b for a, b in zip(r, s)] for r, s in zip(A.data, B.data)], m, n)
+        assert A.scaled(-3) == IntMatrix([[-3 * a for a in r] for r in rows], m, n)
+        assert hstack([A, B]) == IntMatrix([r + list(s) for r, s in zip(rows, B.data)], m, 2 * n)
+        assert vstack([A, B]) == IntMatrix(rows + [list(r) for r in B.data], 2 * m, n)
+        assert block_diag([A, B]) == IntMatrix(
+            [r + [0] * n for r in rows] + [[0] * n + list(r) for r in B.data], 2 * m, 2 * n)
+    assert IntMatrix.zeros(0, 3).columns() == [(), (), ()]
+    assert IntMatrix.zeros(3, 0).columns() == []
+    assert IntMatrix.identity(2) == IntMatrix([[1, 0], [0, 1]])
+    assert IntMatrix.zeros(2, 3) == IntMatrix([[0, 0, 0], [0, 0, 0]])
+
+
+def boundary_matrix(nverts, k):
+    """Boundary of the k-faces of the full simplex on nverts vertices."""
+    faces = list(itertools.combinations(range(nverts), k))
+    cells = list(itertools.combinations(range(nverts), k + 1))
+    index = {f: i for i, f in enumerate(faces)}
+    rows = [[0] * len(cells) for _ in faces]
+    for j, c in enumerate(cells):
+        for i in range(len(c)):
+            rows[index[c[:i] + c[i + 1:]]][j] = -1 if i % 2 else 1
+    return IntMatrix(rows, len(faces), len(cells))
+
+
+SMITH_CASES = [
+    IntMatrix.zeros(0, 0), IntMatrix.zeros(0, 4), IntMatrix.zeros(4, 0),
+    IntMatrix.zeros(3, 5),
+    IntMatrix([[1, 2, 3], [2, 4, 6], [1, 1, 1]]),          # rank deficient
+    IntMatrix([[2, 4, 6, 8], [3, 6, 9, 12]]),
+    boundary_matrix(4, 1), boundary_matrix(5, 2), boundary_matrix(6, 3),
+    boundary_matrix(5, 2).transpose(),
+    IntMatrix([[-1]]), IntMatrix([[-3, 5], [7, -2]]),      # negative pivots
+    IntMatrix([[-2, 0], [0, -4]]), IntMatrix([[0, -6, 4], [-4, 0, 10]]),
+    IntMatrix([[2, 0], [0, 3]]),                           # divisibility fix
+    IntMatrix([[4, 0, 0], [0, 6, 0], [0, 0, 10]]),
+    IntMatrix([[0, 0, 3], [0, 2, 0]]),                     # column swaps
+    IntMatrix([[5, 2, 7]]), IntMatrix([[6, 4], [0, 9]]),
+    IntMatrix([[0, 2], [2, -2]]), IntMatrix([[3, 3], [3, 3]]),  # ties
+]
+
+
+def assert_matches_reference(A):
+    s = smith(A)
+    U, D, V = reference_smith(A)
+    assert (s.U, s.D, s.V) == (U, D, V)
+    assert s.diagonal() == tuple(D.data[i][i] for i in range(min(A.rows, A.cols)))
+    assert s.U @ A @ s.V == s.D
+
+
+def test_smith_matches_dense_reference():
+    for A in SMITH_CASES:
+        assert_matches_reference(A)
+    rng = random.Random(1701)
+    for n in range(16, 21):
+        assert_matches_reference(random_matrix(rng, n, n))
+    for density in DENSITIES:
+        for m, n in shapes(rng, 20, 12):
+            assert_matches_reference(sparse_matrix(rng, m, n, density, rng.choice((1, 3, 9))))
+
+
+small_matrices = st.integers(0, 6).flatmap(lambda m: st.integers(0, 6).flatmap(
+    lambda n: st.lists(st.lists(st.one_of(st.just(0), st.integers(-6, 6)),
+                                min_size=n, max_size=n),
+                       min_size=m, max_size=m).map(lambda rows: IntMatrix(rows, m, n))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_matrices)
+def test_smith_matches_dense_reference_property(A):
+    assert_matches_reference(A)
+
+
+def test_kernel_matches_reference():
+    rng = random.Random(1709)
+    cases = SMITH_CASES + [sparse_matrix(rng, m, n, density)
+                           for density in DENSITIES for m, n in shapes(rng, 15, 9)]
+    for A in cases:
+        _, D, V = reference_smith(A)
+        want = [V.col(j) for j in range(A.cols)
+                if (D.data[j][j] if j < A.rows else 0) == 0]
+        K = kernel(A)
+        assert K == IntMatrix.from_cols(want, A.cols)
+        assert K.rows == A.cols and (A @ K).is_zero()
+
+
+def test_sparse_readers_build_no_dense_transforms(monkeypatch):
+    import homlab.fga as fga
+    made = []
+    real = fga.smith
+    monkeypatch.setattr(fga, "smith", lambda A: made.append(real(A)) or made[-1])
+    A = IntMatrix([[2, 4, 4], [-6, 6, 12], [-4, 10, 16]])
+    assert LinearSolver(A).solve(A.apply((1, -2, 3))) is not None
+    assert (A @ kernel(A)).is_zero()
+    assert rank(A) == 2
+    assert len(made) == 3
+    assert all(s._U is None and s._D is None and s._V is None for s in made)
+
+
+def test_module_doctests():
+    result = doctest.testmod(homlab.fga)
+    assert result.failed == 0
+    assert result.attempted > 0
