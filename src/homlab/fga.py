@@ -235,10 +235,10 @@ class SmithDecomposition:
     kept.
     """
 
-    __slots__ = ("shape", "rank", "_urows", "_vcols", "_diag", "_U", "_D", "_V")
+    __slots__ = ("_shape", "rank", "_urows", "_vcols", "_diag", "_U", "_D", "_V")
 
     def __init__(self, shape: tuple, urows: list, vcols: list, diag: tuple):
-        self.shape = shape
+        self._shape = shape
         self.rank = sum(1 for d in diag if d)
         self._urows = urows
         self._vcols = vcols
@@ -248,14 +248,14 @@ class SmithDecomposition:
     @property
     def U(self) -> IntMatrix:
         if self._U is None:
-            m = self.shape[0]
+            m = self._shape[0]
             self._U = IntMatrix._of(_dense_rows(self._urows, m), m, m)
         return self._U
 
     @property
     def D(self) -> IntMatrix:
         if self._D is None:
-            m, n = self.shape
+            m, n = self._shape
             rows = [{i: d} for i, d in enumerate(self._diag)]
             rows += [{}] * (m - len(rows))
             self._D = IntMatrix._of(_dense_rows(rows, n), m, n)
@@ -264,7 +264,7 @@ class SmithDecomposition:
     @property
     def V(self) -> IntMatrix:
         if self._V is None:
-            n = self.shape[1]
+            n = self._shape[1]
             self._V = IntMatrix._of(_dense_rows(self._vcols, n), n, n).transpose()
         return self._V
 

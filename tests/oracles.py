@@ -7,9 +7,10 @@ not tautology.
 
 The dense_* functions and reference_smith are the package's earlier dense
 kernels, which visit every entry: the sparse-aware kernels that replaced
-them must agree with them exactly.  reference_eval_sequent is the package's earlier sequent
-evaluator, which walks the formula tree once per assignment on carrier
-tuples: the compiled evaluator must agree with it exactly.
+them must agree with them exactly.  reference_eval_sequent is the
+package's earlier sequent evaluator, which walks the formula tree once
+per assignment on carrier tuples: the compiled evaluator must agree with
+it exactly.
 reference_pages is the package's earlier spectral-sequence loop, which
 builds every Z lattice, page entry and niveau subquotient anew for each
 (r, p, q): the content-keyed SpectralSequence must agree with it exactly.
