@@ -16,7 +16,8 @@ from .fga import (
     block_diag,
     hstack,
     is_exact_at,
-    kernel,
+    kernel,  # noqa: F401  (perfbench/tracer.py rebinds this module's alias)
+    preimage_lattice,
     present_subquotient,
 )
 
@@ -109,12 +110,10 @@ class ChainComplex:
 
 def _cycle_lattice(d: GroupHom) -> IntMatrix:
     """Generators of {x : d x = 0 in the presented target} inside Z^ngens."""
-    combined = hstack([d.matrix, d.target.relation_cols()])
-    K = kernel(combined)
-    top = IntMatrix(K.data[: d.source.ngens], d.source.ngens, K.cols)
+    cycles = preimage_lattice(d.matrix, d.target.relation_cols())
     # the source relation lattice is contained in the cycle lattice, but the
     # presentation machinery wants it listed explicitly
-    return hstack([top, d.source.relation_cols()])
+    return hstack([cycles, d.source.relation_cols()])
 
 
 def check_long_exact(groups: Sequence[FgAbGroup], maps: Sequence[GroupHom]) -> list:

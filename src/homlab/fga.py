@@ -1,14 +1,24 @@
 """Exact integer linear algebra and finitely generated abelian groups.
 
 A group is presented as the cokernel of an integer relation matrix; a
-homomorphism is an integer matrix on generators.  Smith normal form over
-Python ints is the one primitive that everything else (kernels, images,
-exactness, canonical element coordinates) is reduced to, so all answers
-are exact at every size.
+homomorphism is an integer matrix on generators.  All arithmetic is over
+Python ints, so every answer is exact at every size.  Two eliminations
+carry everything else:
+
+- the reduced row Hermite form, the lattice primitive: lattice bases,
+  kernels, preimages, membership in a relation lattice, coordinates in a
+  basis and the invariants of a group all come from it, and each of
+  them is unique, so none depends on the order of elimination;
+- the Smith normal form with its transforms U and V, for what depends on
+  them: `LinearSolver` (and through it `QuotientExpresser`) and the
+  element coordinates of `CanonicalForm`.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
+from itertools import compress
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 
@@ -230,9 +240,9 @@ class SmithDecomposition:
     The decomposition is kept in the sparse form `smith` leaves it in:
     the rows of U and the columns of V as dicts {index: nonzero entry},
     and the diagonal of D, whose first `rank` entries are nonzero.
-    `LinearSolver`, `kernel`, `rank` and `CanonicalForm` read that form;
-    the dense matrices `U`, `D` and `V` are built when first read and
-    kept.
+    `LinearSolver`, `rank`, `unimodular_inverse` and `CanonicalForm` read
+    that form; the dense matrices `U`, `D` and `V` are built when first
+    read and kept.
     """
 
     __slots__ = ("_shape", "rank", "_urows", "_vcols", "_diag", "_U", "_D", "_V")
@@ -459,56 +469,205 @@ class LinearSolver:
         return tuple(x)
 
 
+def _sparse(vec: Sequence[int]) -> dict:
+    """The nonzero entries of a vector, as {index: entry}; `compress`
+    skips the zeros without a Python-level step for each."""
+    return {i: vec[i] for i in compress(range(len(vec)), vec)}
+
+
+def _hermite(rows: Iterable[dict], lower: int = 0) -> dict:
+    """Reduced row Hermite form of the lattice spanned by sparse rows.
+
+    The rows, dicts {column: nonzero entry}, are consumed.  Elimination
+    runs column by column in increasing order on buckets of rows keyed by
+    their leading column.  In each bucket the row with the smallest
+    leading entry, and among those the fewest nonzeros, reduces the
+    others (which keeps fill low, as in Dumas, Saunders and Villard, JSC
+    2001); a row whose leading entry drops to zero moves to the bucket of
+    its new leading column, one with a nonzero remainder stays, until one
+    row is left.  That row, made positive at its pivot, is the echelon
+    row of the column.  Back-reduction then runs from the last pivot up,
+    so each row is reduced by later rows that are already reduced.
+
+    Returns {pivot column: row} in increasing pivot order, for the pivot
+    columns at or after `lower`; only those rows are back-reduced.  The
+    reduced form is unique for its lattice, so the result depends on the
+    lattice alone and not on the rows or the order of elimination.
+    """
+    buckets = {}
+    for r in rows:
+        if r:
+            buckets.setdefault(min(r), []).append(r)
+    heap = list(buckets)
+    heapify(heap)
+    echelon = {}
+    while heap:
+        c = heappop(heap)
+        bucket = buckets.pop(c)
+        while len(bucket) > 1:
+            piv = min(bucket, key=lambda r: (abs(r[c]), len(r)))
+            p = piv[c]
+            left = [piv]
+            for r in bucket:
+                if r is piv:
+                    continue
+                _axpy(r, piv, r[c] // p)  # |r[c]| >= |p|, so the quotient is nonzero
+                if c in r:
+                    left.append(r)
+                elif r:
+                    k = min(r)
+                    if k in buckets:
+                        buckets[k].append(r)
+                    else:
+                        buckets[k] = [r]
+                        heappush(heap, k)
+            bucket = left
+        row = bucket[0]
+        if row[c] < 0:
+            for k in row:
+                row[k] = -row[k]
+        if c >= lower:
+            echelon[c] = row
+    for c, row in reversed(list(echelon.items())):
+        _reduce(row, echelon, c)
+    return echelon
+
+
+def _reduce(v: dict, echelon: dict, after: int = -1) -> dict:
+    """Reduces the sparse vector v in place by echelon rows {pivot column:
+    row}, whose rows are zero before their pivot column.
+
+    The pivot columns after `after` are visited in increasing order; at
+    each the multiple of its row is subtracted that leaves the entry in
+    [0, pivot), which changes v only at that column and later ones.
+    Returns {pivot column: multiple subtracted}.  v ends at zero exactly
+    when it lay in the lattice of the rows, and then the multiples are
+    its coordinates.
+    """
+    heap = [k for k in v if k > after and k in echelon]
+    heapify(heap)
+    coeffs = {}
+    while heap:
+        k = heappop(heap)
+        e = v.get(k)
+        if e is None:
+            continue
+        row = echelon[k]
+        q = e // row[k]
+        if q:
+            for j in row:
+                if j not in v and j in echelon:
+                    heappush(heap, j)
+            _axpy(v, row, q)
+            coeffs[k] = q
+    return coeffs
+
+
+class HermiteBasis:
+    """A lattice held as its reduced row Hermite form: sparse rows
+    {column: entry}, keyed by pivot column in increasing order.
+
+    Membership and coordinates come by triangular substitution against
+    the rows; since they are a basis, coordinates are unique.
+    """
+
+    __slots__ = ("rows", "_position")
+
+    def __init__(self, rows: dict):
+        self.rows = rows
+        self._position = {c: i for i, c in enumerate(rows)}
+
+    @classmethod
+    def of_columns(cls, P: IntMatrix) -> "HermiteBasis":
+        """From a matrix whose columns are already in reduced Hermite form,
+        such as the output of `lattice_basis` or `preimage_lattice`."""
+        rows = {}
+        for col in P.columns():
+            row = _sparse(col)
+            rows[min(row)] = row
+        return cls(rows)
+
+    def contains(self, vec: dict) -> bool:
+        v = dict(vec)
+        _reduce(v, self.rows)
+        return not v
+
+    def coords(self, vec: dict) -> Optional[tuple]:
+        """The x with sum x_i row_i = vec, or None off the lattice."""
+        v = dict(vec)
+        q = _reduce(v, self.rows)
+        if v:
+            return None
+        x = [0] * len(self.rows)
+        for c, e in q.items():
+            x[self._position[c]] = e
+        return tuple(x)
+
+    def invariants(self) -> list:
+        """Nonzero Smith invariants of the matrix of the rows, as a divisor
+        chain, with no transforms.
+
+        In a reduced Hermite form a pivot 1 is alone in its column, so
+        column operations clear its row without touching any other row:
+        it gives an invariant 1 and leaves.  The other rows are put in
+        Hermite form again as columns, and so on, until each row holds
+        its pivot alone.  The first pivot of the rows left never grows,
+        and when it stays its row and column are clear, so this ends.
+        Pairwise gcd and lcm then turn the diagonal into the chain.
+        """
+        echelon = self.rows
+        ones = 0
+        while True:
+            rest = []
+            for c, row in echelon.items():
+                if row[c] == 1:
+                    ones += 1
+                else:
+                    rest.append(row)
+            if all(len(row) == 1 for row in rest):
+                break
+            cols = {}
+            for i, row in enumerate(rest):
+                for j, e in row.items():
+                    cols.setdefault(j, {})[i] = e
+            echelon = _hermite(cols.values())
+        diag = [e for row in rest for e in row.values()]
+        for i in range(len(diag)):
+            for j in range(i + 1, len(diag)):
+                g = gcd(diag[i], diag[j])
+                diag[i], diag[j] = g, diag[i] * diag[j] // g
+        return [1] * ones + diag
+
+
 def kernel(A: IntMatrix) -> IntMatrix:
-    """Matrix whose columns are a basis of the integer kernel of A: the
-    columns of V facing a zero diagonal entry."""
-    s = smith(A)
-    cols = s._vcols[s.rank:]
-    return IntMatrix._of(_dense_rows(cols, A.cols), len(cols), A.cols).transpose()
+    """Matrix whose columns are the canonical basis of the integer kernel
+    of A: its reduced column Hermite form, as `lattice_basis` gives it.
+
+    One Hermite elimination of [Aᵀ | I] (Cohen, GTM 138, §2.4.3): a row
+    combination x of it is (A x, x), so the rows of the form whose pivot
+    lies in the I block are the (0, x) with A x = 0, and reduced among
+    themselves they are the reduced form of ker A.
+    """
+    m, n = A.rows, A.cols
+    rows = []
+    for j, col in enumerate(A.columns()):
+        row = _sparse(col)
+        row[m + j] = 1
+        rows.append(row)
+    cols = [{k - m: e for k, e in row.items()} for row in _hermite(rows, m).values()]
+    return IntMatrix._of(_dense_rows(cols, n), len(cols), n).transpose()
 
 
 def hnf_rows(A: IntMatrix) -> IntMatrix:
     """Canonical row Hermite form; returns only the nonzero rows.
 
     Two row sets span the same lattice iff their forms are equal.
+
+    >>> hnf_rows(IntMatrix([[2, 4], [3, 5], [0, 6]]))
+    IntMatrix([[1, 1], [0, 2]])
     """
-    H = [list(r) for r in A.data]
-    m, n = A.rows, A.cols
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        best = None
-        piv = None
-        for i in range(r, m):
-            v = H[i][c]
-            if v != 0:
-                a = -v if v < 0 else v
-                if best is None or a < best:
-                    best = a
-                    piv = i
-        if piv is None:
-            continue
-        H[r], H[piv] = H[piv], H[r]
-        while True:
-            done = True
-            for i in range(r + 1, m):
-                if H[i][c]:
-                    q = H[i][c] // H[r][c]
-                    H[i] = [a - q * b for a, b in zip(H[i], H[r])]
-                    if H[i][c]:
-                        H[r], H[i] = H[i], H[r]
-                        done = False
-            if done:
-                break
-        if H[r][c] < 0:
-            H[r] = [-a for a in H[r]]
-        for i in range(r):
-            q = H[i][c] // H[r][c]
-            if q:
-                H[i] = [a - q * b for a, b in zip(H[i], H[r])]
-        r += 1
-    return IntMatrix(H[:r], r, n)
+    H = _hermite([_sparse(r) for r in A.data])
+    return IntMatrix._of(_dense_rows(H.values(), A.cols), len(H), A.cols)
 
 
 def lattice_basis(G: IntMatrix) -> IntMatrix:
@@ -523,12 +682,19 @@ def same_lattice(A: IntMatrix, B: IntMatrix) -> bool:
 
 
 def preimage_lattice(M: IntMatrix, L: IntMatrix) -> IntMatrix:
-    """Basis of {x : M x lies in the column lattice of L}."""
+    """Canonical basis of {x : M x lies in the column lattice of L}.
+
+    That lattice is the projection of ker [M | L] onto its first M.cols
+    coordinates.  The canonical kernel basis is in echelon form, so the
+    columns with a nonzero entry there come first, and cut to those
+    coordinates they are already the reduced form of the projection.
+    """
     if M.rows != L.rows:
         raise ValueError("target lattice in wrong ambient rank")
     K = kernel(hstack([M, L]))
-    top = IntMatrix(K.data[:M.cols], M.cols, K.cols)
-    return lattice_basis(top)
+    a = M.cols
+    k = sum(1 for col in K.columns() if any(col[:a]))
+    return IntMatrix._of(tuple(row[:k] for row in K.data[:a]), a, k)
 
 
 def unimodular_inverse(M: IntMatrix) -> IntMatrix:
@@ -542,15 +708,15 @@ class FgAbGroup:
     """Finitely generated abelian group, presented as Z^ngens / row lattice.
 
     The rows of `relations` are relators on the chosen generators.  The
-    group builds one `LinearSolver` on its relation columns when first
-    asked, and its invariants read that solver's Smith diagonal.  Equality
-    and hashing are by value.
+    group puts them in reduced Hermite form when first asked; membership
+    in the relation lattice is tested against that form, and the
+    invariants are read from it.  Equality and hashing are by value.
 
     >>> FgAbGroup(2, IntMatrix([[2, 0], [0, 3]])).iso_invariants()
     (0, (6,))
     """
 
-    __slots__ = ("ngens", "relations", "_invariants", "_solver")
+    __slots__ = ("ngens", "relations", "_invariants", "_lattice")
 
     def __init__(self, ngens: int, relations: IntMatrix | None = None):
         if ngens < 0:
@@ -562,7 +728,7 @@ class FgAbGroup:
         self.ngens = ngens
         self.relations = relations
         self._invariants = None
-        self._solver = None
+        self._lattice = None
 
     @classmethod
     def free(cls, n: int) -> "FgAbGroup":
@@ -579,20 +745,22 @@ class FgAbGroup:
     def relation_cols(self) -> IntMatrix:
         return self.relations.transpose()
 
-    def relation_solver(self) -> LinearSolver:
-        """Solver for relation_cols() x = v: v lies in the relation lattice
-        exactly when it has a solution."""
-        if self._solver is None:
-            self._solver = LinearSolver(self.relation_cols())
-        return self._solver
+    def relation_lattice(self) -> HermiteBasis:
+        """The lattice the relations span, in reduced Hermite form."""
+        if self._lattice is None:
+            self._lattice = HermiteBasis(
+                _hermite([_sparse(r) for r in self.relations.data]))
+        return self._lattice
+
+    def is_relation(self, vec: Sequence[int]) -> bool:
+        """Whether vec is zero in the group."""
+        return self.relation_lattice().contains(_sparse(vec))
 
     def iso_invariants(self) -> tuple:
-        """(free rank, torsion chain t_1 | t_2 | ... with each t_i >= 2).
-
-        The relation matrix and its transpose have the same Smith
-        diagonal, so the relation solver's diagonal serves."""
+        """(free rank, torsion chain t_1 | t_2 | ... with each t_i >= 2),
+        from the Smith invariants of the relation lattice."""
         if self._invariants is None:
-            nonzero = [d for d in self.relation_solver().diagonal if d != 0]
+            nonzero = self.relation_lattice().invariants()
             torsion = tuple(d for d in nonzero if d >= 2)
             self._invariants = (self.ngens - len(nonzero), torsion)
         return self._invariants
@@ -654,12 +822,20 @@ class GroupHom:
         return cls(source, target, IntMatrix.zeros(target.ngens, source.ngens))
 
     def well_defined_violation(self) -> Optional[int]:
-        """Index of the first source relation not preserved, or None."""
+        """Index of the first source relation not preserved, or None.
+
+        Each relation's image is summed from the nonzero columns it
+        picks out, as a sparse vector."""
         if self.source.relations.rows == 0:
             return None
-        solver = self.target.relation_solver()
+        lattice = self.target.relation_lattice()
+        cols = [_sparse(c) for c in self.matrix.columns()]
         for i, rel in enumerate(self.source.relations.data):
-            if solver.solve(self.matrix.apply(rel)) is None:
+            image = {}
+            for j, r in _sparse(rel).items():
+                for k, e in cols[j].items():
+                    image[k] = image.get(k, 0) + r * e
+            if not lattice.contains({k: e for k, e in image.items() if e}):
                 return i
         return None
 
@@ -686,8 +862,7 @@ class GroupHom:
         diff = self.matrix - other.matrix
         if diff.is_zero():
             return True
-        solver = self.target.relation_solver()
-        return all(solver.solve(c) is not None for c in diff.columns())
+        return all(map(self.target.is_relation, diff.columns()))
 
     def is_zero(self) -> bool:
         return self.equal_to(GroupHom.zero_map(self.source, self.target))
@@ -718,30 +893,18 @@ def hom_kernel(f: GroupHom) -> tuple:
     """(kernel group, inclusion hom into the source)."""
     f.require_well_defined()
     P = preimage_lattice(f.matrix, f.target.relation_cols())
-    solver = LinearSolver(P)
-    rel_rows = []
-    for rel in f.source.relations.data:
-        x = solver.solve(rel)
-        if x is None:  # impossible for a well-defined hom
-            raise RuntimeError("source relation escaped the kernel lattice")
-        rel_rows.append(list(x))
-    group = FgAbGroup(P.cols, IntMatrix(rel_rows, len(rel_rows), P.cols))
+    # impossible for a well-defined hom
+    group = _presented_in(P, f.source.relations.data, RuntimeError(
+        "source relation escaped the kernel lattice"))
     return group, GroupHom(group, f.source, P)
 
 
 def hom_image(f: GroupHom) -> tuple:
     """(image group, inclusion hom into the target)."""
     f.require_well_defined()
-    rel_cols = f.target.relation_cols()
-    Q = lattice_basis(hstack([f.matrix, rel_cols]))
-    solver = LinearSolver(Q)
-    rel_rows = []
-    for c in rel_cols.columns():
-        x = solver.solve(c)
-        if x is None:
-            raise RuntimeError("target relation escaped the image lattice")
-        rel_rows.append(list(x))
-    group = FgAbGroup(Q.cols, IntMatrix(rel_rows, len(rel_rows), Q.cols))
+    Q = _image_lattice(f)
+    group = _presented_in(Q, f.target.relations.data, RuntimeError(
+        "target relation escaped the image lattice"))
     return group, GroupHom(group, f.target, Q)
 
 
@@ -789,9 +952,8 @@ def composite_is_zero(f: GroupHom, g: GroupHom) -> Optional[tuple]:
     if f.target != g.source:
         raise ValueError("maps do not compose")
     comp = g.matrix @ f.matrix
-    solver = g.target.relation_solver()
     for c in comp.columns():
-        if any(c) and solver.solve(c) is None:
+        if any(c) and not g.target.is_relation(c):
             return c
     return None
 
@@ -800,11 +962,9 @@ def kernel_in_image(f: GroupHom, g: GroupHom) -> Optional[tuple]:
     """None when ker g is contained in im f; otherwise an unhit kernel generator."""
     if f.target != g.source:
         raise ValueError("maps do not compose")
-    img = _image_lattice(f)
-    ker = _kernel_lattice(g)
-    solver = LinearSolver(img)
-    for c in ker.columns():
-        if solver.solve(c) is None:
+    img = HermiteBasis.of_columns(_image_lattice(f))
+    for c in _kernel_lattice(g).columns():
+        if not img.contains(_sparse(c)):
             return c
     return None
 
@@ -834,6 +994,22 @@ def is_isomorphism(f: GroupHom) -> bool:
     return coker.is_trivial()
 
 
+def _presented_in(P: IntMatrix, vectors: Iterable[Sequence[int]],
+                  escaped: Exception) -> FgAbGroup:
+    """The group on the columns of P, a basis in reduced column Hermite
+    form, with the coordinates of `vectors` as relations; raises
+    `escaped` when one of them is not in the lattice of P.  Coordinates
+    in a basis are unique, so triangular substitution finds them."""
+    basis = HermiteBasis.of_columns(P)
+    rel_rows = []
+    for v in vectors:
+        x = basis.coords(_sparse(v))
+        if x is None:
+            raise escaped
+        rel_rows.append(x)
+    return FgAbGroup(P.cols, IntMatrix._of(tuple(rel_rows), len(rel_rows), P.cols))
+
+
 def present_subquotient(ambient_dim: int, numerator: IntMatrix,
                         denominator: IntMatrix) -> tuple:
     """Present N/D for column lattices D <= N inside Z^ambient_dim.
@@ -844,14 +1020,9 @@ def present_subquotient(ambient_dim: int, numerator: IntMatrix,
     if numerator.rows != ambient_dim or denominator.rows != ambient_dim:
         raise ValueError("lattice generators in the wrong ambient rank")
     P = lattice_basis(numerator)
-    solver = LinearSolver(P)
-    rel_rows = []
-    for c in denominator.columns():
-        x = solver.solve(c)
-        if x is None:
-            raise ValueError("denominator lattice is not inside the numerator")
-        rel_rows.append(list(x))
-    return FgAbGroup(P.cols, IntMatrix(rel_rows, len(rel_rows), P.cols)), P
+    group = _presented_in(P, denominator.columns(), ValueError(
+        "denominator lattice is not inside the numerator"))
+    return group, P
 
 
 class QuotientExpresser:

@@ -84,13 +84,6 @@ class Sequent:
     consequent: object
 
 
-def conjoin(formulas):
-    out = formulas[0]
-    for f in formulas[1:]:
-        out = And(out, f)
-    return out
-
-
 # -- signatures --------------------------------------------------------------
 
 

@@ -145,9 +145,6 @@ class HomologyModel:
         self._check_degree(n)
         return self.node(key).reps[n]
 
-    def chain_basis(self, key: Key, n: int) -> list:
-        return self.node(key).bases[n]
-
     def express(self, key: Key, n: int, chain) -> tuple:
         """Homology class of a cycle, in generator coordinates."""
         self._check_degree(n)

@@ -347,9 +347,6 @@ class PairMorphism:
             if src.total != tgt.total or any(vm[v] != v for v in src.total.vertices):
                 raise ValueError(f"edge {self.name!r} is not a total-fixing collapse")
 
-    def apply_simplex(self, s: Tuple[str, ...]) -> Tuple[str, ...]:
-        return self.target.total.sort_simplex(self.vertex_map[v] for v in s)
-
     def __repr__(self):
         return f"PairMorphism({self.name!r}, kind={self.kind!r})"
 
@@ -532,13 +529,6 @@ class PairDiagram:
 
     def identity_name(self, key):
         return f"id:{key[0]}/{key[1]}"
-
-    def find_node(self, total: SimplicialComplex, sub: SimplicialComplex):
-        for key in self.node_keys():
-            pair = self.nodes[key]
-            if pair.total == total and pair.sub == sub:
-                return key
-        return None
 
 
 class DiagramBuilder:

@@ -7,7 +7,11 @@ not tautology.
 
 The dense_* functions and reference_smith are the package's earlier dense
 kernels, which visit every entry: the sparse-aware kernels that replaced
-them must agree with them exactly.  reference_eval_sequent is the
+them must agree with them exactly.  reference_hnf_rows is the earlier
+dense row Hermite form, and reference_kernel and reference_preimage_lattice
+the earlier Smith-based kernel and preimage, put in canonical form by
+reference_hnf_rows: the sparse Hermite elimination must give the same
+canonical bases.  reference_eval_sequent is the
 package's earlier sequent evaluator, which walks the formula tree once
 per assignment on carrier tuples: the compiled evaluator must agree with
 it exactly.
@@ -216,6 +220,69 @@ def reference_smith(A):
             row_add(t, bad)
         t += 1
     return IntMatrix(U, m, m), IntMatrix(D, m, n), IntMatrix(V, n, n)
+
+
+def reference_hnf_rows(A):
+    """Canonical row Hermite form by the package's earlier dense loop,
+    which rebuilds whole rows; only the nonzero rows."""
+    H = [list(r) for r in A.data]
+    m, n = A.rows, A.cols
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        best = None
+        piv = None
+        for i in range(r, m):
+            v = H[i][c]
+            if v != 0:
+                a = -v if v < 0 else v
+                if best is None or a < best:
+                    best = a
+                    piv = i
+        if piv is None:
+            continue
+        H[r], H[piv] = H[piv], H[r]
+        while True:
+            done = True
+            for i in range(r + 1, m):
+                if H[i][c]:
+                    q = H[i][c] // H[r][c]
+                    H[i] = [a - q * b for a, b in zip(H[i], H[r])]
+                    if H[i][c]:
+                        H[r], H[i] = H[i], H[r]
+                        done = False
+            if done:
+                break
+        if H[r][c] < 0:
+            H[r] = [-a for a in H[r]]
+        for i in range(r):
+            q = H[i][c] // H[r][c]
+            if q:
+                H[i] = [a - q * b for a, b in zip(H[i], H[r])]
+        r += 1
+    return IntMatrix(H[:r], r, n)
+
+
+def reference_lattice_basis(G):
+    """Canonical column basis of the lattice of G, by reference_hnf_rows."""
+    return reference_hnf_rows(G.transpose()).transpose()
+
+
+def reference_kernel(A):
+    """A basis of the integer kernel of A, not canonical: the columns of
+    the dense Smith form's V that face a zero diagonal entry."""
+    _, D, V = reference_smith(A)
+    cols = [V.col(j) for j in range(A.cols)
+            if (D.data[j][j] if j < A.rows else 0) == 0]
+    return IntMatrix.from_cols(cols, A.cols)
+
+
+def reference_preimage_lattice(M, L):
+    """Canonical basis of {x : M x in the lattice of L}: the first M.cols
+    coordinates of the Smith-based kernel of [M | L], by reference_hnf_rows."""
+    K = reference_kernel(hstack([M, L]))
+    return reference_lattice_basis(IntMatrix(K.data[:M.cols], M.cols, K.cols))
 
 
 def dense_apply(A, vec):

@@ -12,6 +12,7 @@ from homlab.fga import (
     CanonicalForm,
     FgAbGroup,
     GroupHom,
+    HermiteBasis,
     IllDefinedHomError,
     IntMatrix,
     LinearSolver,
@@ -28,6 +29,7 @@ from homlab.fga import (
     hstack,
     kernel,
     lattice_basis,
+    modulus_columns,
     preimage_lattice,
     present_subquotient,
     rank,
@@ -45,6 +47,10 @@ from oracles import (
     frac_nullity,
     minor_gcd_invariants,
     quotient_invariants,
+    reference_hnf_rows,
+    reference_kernel,
+    reference_lattice_basis,
+    reference_preimage_lattice,
     reference_smith,
 )
 
@@ -173,21 +179,27 @@ def test_apply_and_matmul_match_dense_reference():
 
 def test_solvers_are_built_once_and_on_demand(monkeypatch):
     import homlab.fga as fga
-    calls = []
-    real = fga.smith
-    monkeypatch.setattr(fga, "smith", lambda A: calls.append(A) or real(A))
+    calls, forms = [], []
+    real_smith, real_hermite = fga.smith, fga._hermite
+    monkeypatch.setattr(fga, "smith", lambda A: calls.append(A) or real_smith(A))
+    monkeypatch.setattr(fga, "_hermite", lambda rows, lower=0: forms.append(
+        [dict(r) for r in rows]) or real_hermite(forms[-1], lower))
     src = FgAbGroup(1, IntMatrix([[4]]))
     tgt = FgAbGroup(2, IntMatrix([[2, 0], [0, 6]]))
     f = GroupHom(src, tgt, IntMatrix([[1], [3]]))
     assert f.well_defined_violation() is None
     assert not f.is_zero()
     assert tgt.iso_invariants() == (0, (2, 6))
-    assert calls == [tgt.relation_cols()]  # one Smith form for the target
+    # one Hermite form of the target's relations serves all three, and no
+    # Smith form runs
+    assert forms == [[{0: 2}, {1: 6}]]
+    assert tgt.relation_lattice() is tgt.relation_lattice()
+    assert calls == []
     # an expresser builds its solver on the first express, and only then
     x = QuotientExpresser(IntMatrix.identity(2), tgt.relation_cols())
-    assert len(calls) == 1
+    assert calls == []
     assert x.express((3, 7)) is not None and x.express((1, 0)) is not None
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_solve_matches_dense_reference():
@@ -554,17 +566,104 @@ def test_smith_matches_dense_reference_property(A):
     assert_matches_reference(A)
 
 
-def test_kernel_matches_reference():
-    rng = random.Random(1709)
+def lattice_cases(rng):
+    """Matrices for the Hermite-form checks: the Smith cases, seeded sparse
+    ones at every density (rank-deficient among them), and seeded ones
+    padded with m times the identity, as lattices over Z/m are."""
     cases = SMITH_CASES + [sparse_matrix(rng, m, n, density)
                            for density in DENSITIES for m, n in shapes(rng, 15, 9)]
-    for A in cases:
-        _, D, V = reference_smith(A)
-        want = [V.col(j) for j in range(A.cols)
-                if (D.data[j][j] if j < A.rows else 0) == 0]
+    for modulus in (2, 3, 4, 6):
+        for m, n in shapes(rng, 5, 8):
+            A = sparse_matrix(rng, m, n, rng.choice(DENSITIES), 5)
+            cases.append(hstack([A, modulus_columns(modulus, m)]))
+            cases.append(hstack([A, modulus_columns(modulus, m)]).transpose())
+    rank_one = sparse_matrix(rng, 6, 1, 1.0) @ sparse_matrix(rng, 1, 7, 1.0)
+    return cases + [rank_one, rank_one.transpose()]
+
+
+def test_hnf_rows_matches_reference():
+    for A in lattice_cases(random.Random(1723)):
+        H = hnf_rows(A)
+        assert H == reference_hnf_rows(A)
+        assert lattice_basis(A) == reference_lattice_basis(A)
+
+
+def test_kernel_matches_reference():
+    # the kernel is now the canonical basis of the reference kernel lattice
+    for A in lattice_cases(random.Random(1709)):
         K = kernel(A)
-        assert K == IntMatrix.from_cols(want, A.cols)
+        assert K == reference_lattice_basis(reference_kernel(A))
         assert K.rows == A.cols and (A @ K).is_zero()
+        assert K.cols == frac_nullity([list(r) for r in A.data], A.cols)
+
+
+def test_preimage_lattice_matches_reference():
+    # kept to 6 x 6: the Smith transform inside the reference kernel grows
+    # fast, and at 8 x 20 its canonical form does not end in 20 s
+    rng = random.Random(1741)
+    for modulus in (0, 2, 3):
+        for m, n in shapes(rng, 20, 6):
+            M = sparse_matrix(rng, m, n, rng.choice(DENSITIES), 4)
+            L = hstack([sparse_matrix(rng, m, rng.randint(0, 4), 0.3, 3),
+                        modulus_columns(modulus, m)])
+            P = preimage_lattice(M, L)
+            assert P == reference_preimage_lattice(M, L)
+            assert P.rows == n
+
+
+def smith_invariants(R):
+    """iso_invariants of Z^cols / rows of R, from the dense Smith diagonal."""
+    D = reference_smith(R)[1]
+    diag = [D.data[i][i] for i in range(min(R.rows, R.cols)) if D.data[i][i]]
+    return R.cols - len(diag), tuple(d for d in diag if d >= 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrices)
+def test_hermite_layer_matches_reference_property(A):
+    assert hnf_rows(A) == reference_hnf_rows(A)
+    assert kernel(A) == reference_lattice_basis(reference_kernel(A))
+    half = A.cols // 2
+    M = IntMatrix([r[:half] for r in A.data], A.rows, half)
+    L = IntMatrix([r[half:] for r in A.data], A.rows, A.cols - half)
+    assert preimage_lattice(M, L) == reference_preimage_lattice(M, L)
+    assert FgAbGroup(A.cols, A).iso_invariants() == smith_invariants(A)
+
+
+def test_iso_invariants_match_oracles():
+    rng = random.Random(1753)
+    for _ in range(80):  # small enough for the minor-gcd oracle
+        n, r = rng.randint(0, 4), rng.randint(0, 4)
+        R = sparse_matrix(rng, r, n, rng.choice(DENSITIES), 6)
+        free, torsion = quotient_invariants(n, [list(x) for x in R.data])
+        assert FgAbGroup(n, R).iso_invariants() == (free, tuple(torsion))
+    for R in lattice_cases(rng):
+        assert FgAbGroup(R.cols, R).iso_invariants() == smith_invariants(R)
+    # Hermite forms that need a column pass, and a diagonal that needs
+    # gcd and lcm to become a divisor chain
+    for rows in ([[2, 0, 4], [0, 4, 4], [2, 4, 8], [6, 6, 0]],
+                 [[4, 6], [0, 10]], [[6, 0, 0], [0, 4, 0], [0, 0, 10]]):
+        R = IntMatrix(rows)
+        free, torsion = quotient_invariants(R.cols, rows)
+        assert FgAbGroup(R.cols, R).iso_invariants() == (free, tuple(torsion))
+
+
+def test_membership_and_coordinates_match_dense_solve():
+    rng = random.Random(1759)
+    outcomes = set()
+    for G in lattice_cases(rng):
+        P = lattice_basis(G)
+        basis = HermiteBasis.of_columns(P)
+        group = FgAbGroup(G.rows, G.transpose())
+        for _ in range(4):
+            inside = P.apply(sparse_vector(rng, P.cols, 0.5, 4))
+            for v in (inside, sparse_vector(rng, P.rows, 0.3, 4), [0] * P.rows):
+                want = dense_solve(P, v)
+                outcomes.add(want is None)
+                assert basis.coords({i: e for i, e in enumerate(v) if e}) == want
+                assert group.is_relation(v) == (dense_solve(G, v) is not None)
+                assert group.is_relation(v) == (want is not None)
+    assert outcomes == {True, False}
 
 
 def test_sparse_readers_build_no_dense_transforms(monkeypatch):
@@ -576,7 +675,7 @@ def test_sparse_readers_build_no_dense_transforms(monkeypatch):
     assert LinearSolver(A).solve(A.apply((1, -2, 3))) is not None
     assert (A @ kernel(A)).is_zero()
     assert rank(A) == 2
-    assert len(made) == 3
+    assert len(made) == 2  # the kernel comes from a Hermite form
     assert all(s._U is None and s._D is None and s._V is None for s in made)
 
 
