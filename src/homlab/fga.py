@@ -643,7 +643,7 @@ def kernel(A: IntMatrix) -> IntMatrix:
     """Matrix whose columns are the canonical basis of the integer kernel
     of A: its reduced column Hermite form, as `lattice_basis` gives it.
 
-    One Hermite elimination of [Aᵀ | I] (Cohen, GTM 138, §2.4.3): a row
+    One Hermite elimination of [Aᵀ | I] (Cohen, GTM 138, §2.4): a row
     combination x of it is (A x, x), so the rows of the form whose pivot
     lies in the I block are the (0, x) with A x = 0, and reduced among
     themselves they are the reduced form of ker A.
