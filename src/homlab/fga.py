@@ -6,9 +6,10 @@ Python ints, so every answer is exact at every size.  Two eliminations
 carry everything else:
 
 - the reduced row Hermite form, the lattice primitive: lattice bases,
-  kernels, preimages, membership in a relation lattice, coordinates in a
-  basis and the invariants of a group all come from it, and each of
-  them is unique, so none depends on the order of elimination;
+  kernels, preimages, inverses of unimodular matrices, membership in a
+  relation lattice, coordinates in a basis and the invariants of a group
+  all come from it, and each of them is unique, so none depends on the
+  order of elimination;
 - the Smith normal form with its transforms U and V, for what depends on
   them: `LinearSolver` (and through it `QuotientExpresser`) and the
   element coordinates of `CanonicalForm`.
@@ -240,8 +241,7 @@ class SmithDecomposition:
     The decomposition is kept in the sparse form `smith` leaves it in:
     the rows of U and the columns of V as dicts {index: nonzero entry},
     and the diagonal of D, whose first `rank` entries are nonzero.
-    `LinearSolver`, `rank`, `unimodular_inverse` and `CanonicalForm` read
-    that form; the dense matrices `U`, `D` and `V` are built when first
+    `LinearSolver`, `rank` and `CanonicalForm` read that form; the dense matrices `U`, `D` and `V` are built when first
     read and kept.
     """
 
@@ -639,6 +639,16 @@ class HermiteBasis:
         return [1] * ones + diag
 
 
+def _with_identity(A: IntMatrix) -> list:
+    """The sparse rows of [Aᵀ | I]: column j of A, then e_j."""
+    rows = []
+    for j, col in enumerate(A.columns()):
+        row = _sparse(col)
+        row[A.rows + j] = 1
+        rows.append(row)
+    return rows
+
+
 def kernel(A: IntMatrix) -> IntMatrix:
     """Matrix whose columns are the canonical basis of the integer kernel
     of A: its reduced column Hermite form, as `lattice_basis` gives it.
@@ -649,12 +659,8 @@ def kernel(A: IntMatrix) -> IntMatrix:
     themselves they are the reduced form of ker A.
     """
     m, n = A.rows, A.cols
-    rows = []
-    for j, col in enumerate(A.columns()):
-        row = _sparse(col)
-        row[m + j] = 1
-        rows.append(row)
-    cols = [{k - m: e for k, e in row.items()} for row in _hermite(rows, m).values()]
+    cols = [{k - m: e for k, e in row.items()}
+            for row in _hermite(_with_identity(A), m).values()]
     return IntMatrix._of(_dense_rows(cols, n), len(cols), n).transpose()
 
 
@@ -698,10 +704,22 @@ def preimage_lattice(M: IntMatrix, L: IntMatrix) -> IntMatrix:
 
 
 def unimodular_inverse(M: IntMatrix) -> IntMatrix:
-    s = smith(M)
-    if M.rows != M.cols or any(d != 1 for d in s.diagonal()):
+    """M⁻¹ from one Hermite elimination of [Mᵀ | I].
+
+    Its rows span {(M x, x)}, so its reduced form is [I | (M⁻¹)ᵀ] exactly
+    when every unit vector is some M x, that is, when M is unimodular.
+
+    >>> unimodular_inverse(IntMatrix([[2, 1], [1, 1]]))
+    IntMatrix([[1, -1], [-1, 2]])
+    """
+    n = M.rows
+    if M.cols != n:
         raise ValueError("matrix is not unimodular")
-    return s.V @ s.U
+    H = _hermite(_with_identity(M))
+    if list(H) != list(range(n)) or any(H[c][c] != 1 for c in range(n)):
+        raise ValueError("matrix is not unimodular")
+    cols = [{k - n: e for k, e in H[c].items() if k >= n} for c in range(n)]
+    return IntMatrix._of(_dense_rows(cols, n), n, n).transpose()
 
 
 class FgAbGroup:

@@ -16,12 +16,11 @@ from .fga import (
     FgAbGroup,
     GroupHom,
     IntMatrix,
-    QuotientExpresser,
-    hstack,
-    preimage_lattice,
-    present_subquotient,
+    # perfbench/tracer.py rebinds these two aliases of this module
+    preimage_lattice,  # noqa: F401
+    present_subquotient,  # noqa: F401
 )
-from .complexes import ChainComplex
+from .complexes import ChainComplex, HomologyEntry, induced_hom
 from .simp import PairDiagram, SimpPair
 
 Key = Tuple[str, str]
@@ -64,16 +63,14 @@ def relative_chain_complex(pair: SimpPair, modulus: int, lo: int, hi: int
 
 
 class _NodeData:
-    __slots__ = ("chains", "bases", "index", "groups", "reps", "expressers")
+    __slots__ = ("chains", "bases", "index", "homology")
 
     def __init__(self, chains, bases):
         self.chains = chains
         self.bases = bases
         self.index = {n: {s: i for i, s in enumerate(bs)}
                       for n, bs in bases.items()}
-        self.groups = {}
-        self.reps = {}
-        self.expressers = {}
+        self.homology: Dict[int, HomologyEntry] = {}
 
 
 def _permutation_sign(positions: List[int]) -> int:
@@ -83,6 +80,20 @@ def _permutation_sign(positions: List[int]) -> int:
             if positions[i] > positions[j]:
                 sign = -sign
     return sign
+
+
+def _restrict(chain, basis: list, keep, index: dict, modulus: int,
+              leak: str) -> list:
+    """The entries of a chain on `basis` at the simplices in `keep`, placed
+    by `index`; raises RuntimeError(leak) at an entry elsewhere that is
+    nonzero (modulo the modulus)."""
+    out = [0] * len(index)
+    for c, s in zip(chain, basis):
+        if s in keep:
+            out[index[s]] = c
+        elif c % modulus if modulus else c:
+            raise RuntimeError(leak)
+    return out
 
 
 class HomologyModel:
@@ -106,17 +117,8 @@ class HomologyModel:
             chains, bases = relative_chain_complex(diagram.nodes[key],
                                                    modulus, lo, hi)
             data = _NodeData(chains, bases)
-            for n in range(window[0], window[1] + 1):
-                d_n = chains.differential(n)
-                cycles = preimage_lattice(d_n.matrix,
-                                          d_n.target.relation_cols())
-                boundaries = hstack([chains.differential(n + 1).matrix,
-                                     chains.group(n).relation_cols()])
-                group, reps = present_subquotient(chains.group(n).ngens,
-                                                  cycles, boundaries)
-                data.groups[n] = group
-                data.reps[n] = reps
-                data.expressers[n] = QuotientExpresser(reps, boundaries)
+            for n in self.degrees():
+                data.homology[n] = chains.homology_with_reps(n)
             self._nodes[key] = data
         self._induced: Dict[Tuple[str, int], GroupHom] = {}
         self._connecting: Dict[Tuple[str, int], GroupHom] = {}
@@ -136,19 +138,20 @@ class HomologyModel:
             raise ValueError(f"unknown node {key}")
         return self._nodes[key]
 
-    def group(self, key: Key, n: int) -> FgAbGroup:
+    def entry(self, key: Key, n: int) -> HomologyEntry:
         self._check_degree(n)
-        return self.node(key).groups[n]
+        return self.node(key).homology[n]
+
+    def group(self, key: Key, n: int) -> FgAbGroup:
+        return self.entry(key, n).group
 
     def generator_reps(self, key: Key, n: int) -> IntMatrix:
         """Columns: chain representatives of the homology generators."""
-        self._check_degree(n)
-        return self.node(key).reps[n]
+        return self.entry(key, n).reps
 
     def express(self, key: Key, n: int, chain) -> tuple:
         """Homology class of a cycle, in generator coordinates."""
-        self._check_degree(n)
-        coords = self.node(key).expressers[n].express(chain)
+        coords = self.entry(key, n).expresser.express(chain)
         if coords is None:
             raise ValueError("chain is not a cycle of this node")
         return coords
@@ -158,26 +161,27 @@ class HomologyModel:
 
     # -- induced maps ------------------------------------------------------
 
-    def chain_map(self, edge_name: str, n: int) -> IntMatrix:
-        """Matrix of the relative chain map of an edge in degree n."""
+    def chain_map(self, edge_name: str, n: int) -> list:
+        """The relative chain map of an edge in degree n, a signed partial
+        permutation: per source simplex, (target index, sign), or None
+        where the image is degenerate or lies in the target's subcomplex."""
         edge = self.diagram.edges[edge_name]
         vm = edge.morphism.vertex_map
-        src = self.node(edge.src)
-        tgt = self.node(edge.tgt)
+        index = self.node(edge.tgt).index[n]
         tgt_total = self.diagram.nodes[edge.tgt].total
         tgt_sub = self.diagram.nodes[edge.tgt].sub
-        rows = len(tgt.bases[n])
-        cols = []
-        for s in src.bases[n]:
-            col = [0] * rows
+        out = []
+        for s in self.node(edge.src).bases[n]:
             images = [vm[v] for v in s]
+            t = None
             if len(set(images)) == len(images):
                 t = tgt_total.sort_simplex(images)
-                if not tgt_sub.has_simplex(t):
-                    positions = [tgt_total.position(w) for w in images]
-                    col[tgt.index[n][t]] = _permutation_sign(positions)
-            cols.append(col)
-        return IntMatrix.from_cols(cols, rows)
+            if t is None or tgt_sub.has_simplex(t):
+                out.append(None)
+            else:
+                positions = [tgt_total.position(w) for w in images]
+                out.append((index[t], _permutation_sign(positions)))
+        return out
 
     def induced(self, edge_name: str, n: int) -> GroupHom:
         """Map on homology induced by a diagram edge."""
@@ -190,20 +194,18 @@ class HomologyModel:
             raise ValueError(
                 f"edge {edge_name!r} is a connecting morphism; "
                 "use connecting() on its triple")
-        F = self.chain_map(edge_name, n)
-        src = self.node(edge.src)
-        tgt = self.node(edge.tgt)
-        cols = []
-        for j in range(src.reps[n].cols):
-            pushed = F.apply(src.reps[n].col(j))
-            coords = tgt.expressers[n].express(pushed)
-            if coords is None:
-                raise RuntimeError(
-                    f"image of a cycle under {edge_name!r} is not a cycle")
-            cols.append(list(coords))
-        hom = GroupHom(src.groups[n], tgt.groups[n],
-                       IntMatrix.from_cols(cols, tgt.groups[n].ngens))
-        hom.require_well_defined()
+        perm = self.chain_map(edge_name, n)
+        size = len(self.node(edge.tgt).bases[n])
+
+        def push(chain):
+            out = [0] * size
+            for c, image in zip(chain, perm):
+                if c and image is not None:
+                    out[image[0]] += image[1] * c
+            return out
+
+        hom = induced_hom(self.entry(edge.src, n), self.entry(edge.tgt, n),
+                          push, f"image of a cycle under {edge_name!r} is not a cycle")
         self._induced[(edge_name, n)] = hom
         return hom
 
@@ -222,29 +224,19 @@ class HomologyModel:
         tgt = self.node(t.nyz)
         middle = self.diagram.complexes[t.y].simplices
         d = mid.chains.differential(n).matrix
-        cols = []
-        for j in range(src.reps[n].cols):
-            chain = src.reps[n].col(j)
-            # the (X,Y)-basis sits inside the (X,Z)-basis
+        # the (X,Y)-basis sits inside the (X,Z)-basis
+        lift = [mid.index[n][s] for s in src.bases[n]]
+        leak = f"boundary of a relative cycle leaks outside {t.y!r}"
+
+        def boundary(chain):
             lifted = [0] * len(mid.bases[n])
-            for i, s in enumerate(src.bases[n]):
-                lifted[mid.index[n][s]] = chain[i]
-            bdry = d.apply(lifted)
-            restricted = [0] * len(tgt.bases[n - 1])
-            for i, s in enumerate(mid.bases[n - 1]):
-                if s in middle:
-                    restricted[tgt.index[n - 1][s]] = bdry[i]
-                elif (self.modulus == 0 and bdry[i] != 0) or \
-                        (self.modulus and bdry[i] % self.modulus):
-                    raise RuntimeError(
-                        f"boundary of a relative cycle leaks outside {t.y!r}")
-            coords = tgt.expressers[n - 1].express(restricted)
-            if coords is None:
-                raise RuntimeError("connecting image is not a cycle")
-            cols.append(list(coords))
-        hom = GroupHom(src.groups[n], tgt.groups[n - 1],
-                       IntMatrix.from_cols(cols, tgt.groups[n - 1].ngens))
-        hom.require_well_defined()
+            for i, c in zip(lift, chain):
+                lifted[i] = c
+            return _restrict(d.apply(lifted), mid.bases[n - 1], middle,
+                             tgt.index[n - 1], self.modulus, leak)
+
+        hom = induced_hom(src.homology[n], tgt.homology[n - 1], boundary,
+                          "connecting image is not a cycle")
         self._connecting[(triple_name, n)] = hom
         return hom
 
@@ -266,26 +258,16 @@ class HomologyModel:
         left = self.diagram.complexes[sq.u].simplices
         inter = self.diagram.complexes[sq.b].simplices
         d = src.chains.differential(n).matrix
-        cols = []
-        for j in range(src.reps[n].cols):
-            chain = src.reps[n].col(j)
+
+        def boundary(chain):
             part = [c if s in left else 0
                     for c, s in zip(chain, src.bases[n])]
-            bdry = d.apply(part)
-            restricted = [0] * len(tgt.bases[n - 1])
-            for i, s in enumerate(src.bases[n - 1]):
-                if s in inter:
-                    restricted[tgt.index[n - 1][s]] = bdry[i]
-                elif (self.modulus == 0 and bdry[i] != 0) or \
-                        (self.modulus and bdry[i] % self.modulus):
-                    raise RuntimeError(
-                        "boundary of the left part leaks outside the intersection")
-            coords = tgt.expressers[n - 1].express(restricted)
-            if coords is None:
-                raise RuntimeError("union connecting image is not a cycle")
-            cols.append(list(coords))
-        hom = GroupHom(src.groups[n], tgt.groups[n - 1],
-                       IntMatrix.from_cols(cols, tgt.groups[n - 1].ngens))
-        hom.require_well_defined()
+            return _restrict(
+                d.apply(part), src.bases[n - 1], inter, tgt.index[n - 1],
+                self.modulus,
+                "boundary of the left part leaks outside the intersection")
+
+        hom = induced_hom(src.homology[n], tgt.homology[n - 1], boundary,
+                          "union connecting image is not a cycle")
         self._mv[(square_name, n)] = hom
         return hom

@@ -25,13 +25,15 @@ from .fga import (
     FgAbGroup,
     GroupHom,
     IntMatrix,
-    QuotientExpresser,
+    direct_sum,
+    hom_concat,
+    hom_stack,
     hstack,
     modulus_columns,
     preimage_lattice,
     present_subquotient,
 )
-from .complexes import Bicomplex, ChainComplex, total_complex
+from .complexes import ChainComplex, HomologyEntry, homology_entry, induced_hom
 from .model import HomologyModel, relative_chain_complex
 from .simp import (
     EMPTY_NAME,
@@ -40,15 +42,6 @@ from .simp import (
     SimpPair,
     SimplicialComplex,
 )
-
-
-class PageEntry:
-    __slots__ = ("group", "reps", "expresser")
-
-    def __init__(self, group, reps, expresser):
-        self.group = group
-        self.reps = reps
-        self.expresser = expresser
 
 
 class SpectralSequence:
@@ -60,7 +53,7 @@ class SpectralSequence:
     Z^r_{p,q} depends only on the keys of L_p in degree n and L_{p-r} in
     degree n - 1, and a page entry only on the keys of its three defining
     Z lattices.  Sharing invariant: entries at any pages and positions
-    whose defining lattices are equal are the same PageEntry object.
+    whose defining lattices are equal are the same HomologyEntry object.
     Equal keys mean literally equal input matrices, so sharing changes no
     group, representative or differential.  All of it lives and dies with
     this object.
@@ -81,7 +74,7 @@ class SpectralSequence:
         self._lkeys: Dict[Tuple[int, int], tuple] = {}
         self._lattices: Dict[tuple, IntMatrix] = {}
         self._zcache: Dict[tuple, IntMatrix] = {}
-        self._hx: Dict[int, tuple] = {}
+        self._hx: Dict[int, HomologyEntry] = {}
 
         self.grid: List[Tuple[int, int]] = []
         for p in range(self.d_len + 1):
@@ -89,9 +82,9 @@ class SpectralSequence:
                 self.grid.append((p, n - p))
         self.grid.sort()
 
-        self.pages: Dict[int, Dict[Tuple[int, int], PageEntry]] = {}
+        self.pages: Dict[int, Dict[Tuple[int, int], HomologyEntry]] = {}
         self.diffs: Dict[int, Dict[Tuple[int, int], GroupHom]] = {}
-        built: Dict[tuple, PageEntry] = {}
+        built: Dict[tuple, HomologyEntry] = {}
         for r in range(1, self.d_len + 2):
             entries = {}
             for (p, q) in self.grid:
@@ -108,28 +101,17 @@ class SpectralSequence:
                 tgt = (p - r, q + r - 1)
                 if tgt not in entries:
                     continue
-                src_e, tgt_e = entries[(p, q)], entries[tgt]
-                d = self.chains.differential(p + q).matrix
-                cols = []
-                for j in range(src_e.reps.cols):
-                    coords = tgt_e.expresser.express(d.apply(src_e.reps.col(j)))
-                    if coords is None:
-                        raise RuntimeError(
-                            f"page {r} differential leaves its target at {(p, q)}")
-                    cols.append(list(coords))
-                hom = GroupHom(src_e.group, tgt_e.group,
-                               IntMatrix.from_cols(cols, tgt_e.group.ngens))
-                hom.require_well_defined()
-                diffs[(p, q)] = hom
+                diffs[(p, q)] = induced_hom(
+                    entries[(p, q)], entries[tgt],
+                    self.chains.differential(p + q).matrix.apply,
+                    f"page {r} differential leaves its target at {(p, q)}")
             self.diffs[r] = diffs
 
-    def _page_entry(self, n: int, znum, zup, zleft) -> PageEntry:
-        num = self.z_lattice(znum)
+    def _page_entry(self, n: int, znum, zup, zleft) -> HomologyEntry:
         den = hstack([self.chains.differential(n + 1).matrix
                       @ self.z_lattice(zup),
                       self.z_lattice(zleft)])
-        group, reps = present_subquotient(self.dim(n), num, den)
-        return PageEntry(group, reps, QuotientExpresser(reps, den))
+        return homology_entry(self.dim(n), self.z_lattice(znum), den)
 
     # -- lattices ------------------------------------------------------------
 
@@ -201,7 +183,7 @@ class SpectralSequence:
         """Differentials out of the grid vanish from here on."""
         return self.d_len + 1
 
-    def entry(self, r: int, p: int, q: int) -> PageEntry:
+    def entry(self, r: int, p: int, q: int) -> HomologyEntry:
         if r not in self.pages:
             raise ValueError(f"page {r} not computed (1..{self.d_len + 1})")
         if (p, q) not in self.pages[r]:
@@ -223,19 +205,12 @@ class SpectralSequence:
 
     # -- abutment --------------------------------------------------------------
 
-    def base_homology(self, n: int):
-        """(group, reps, expresser) for H_n of the whole complex."""
-        cached = self._hx.get(n)
-        if cached is not None:
-            return cached
-        d_n = self.chains.differential(n)
-        cycles = preimage_lattice(d_n.matrix, d_n.target.relation_cols())
-        den = hstack([self.chains.differential(n + 1).matrix,
-                      self.chains.group(n).relation_cols()])
-        group, reps = present_subquotient(self.dim(n), cycles, den)
-        data = (group, reps, QuotientExpresser(reps, den))
-        self._hx[n] = data
-        return data
+    def base_homology(self, n: int) -> HomologyEntry:
+        """H_n of the whole complex."""
+        entry = self._hx.get(n)
+        if entry is None:
+            entry = self._hx[n] = self.chains.homology_with_reps(n)
+        return entry
 
 
 def run_pages(filtration: Filtration, modulus: int = 0) -> SpectralSequence:
@@ -402,7 +377,9 @@ def page_turn_mismatches(spec: SpectralSequence) -> list:
 
 
 class CellularComplex:
-    """Total complex of the first page with its block layout."""
+    """The rows of the first page summed into one chain complex, with its
+    block layout: blocks[n] lists the entries (p, q) with p + q = n, in
+    the order of their summands in degree n."""
 
     def __init__(self, total: ChainComplex, blocks: Dict[int, list],
                  offenders: list):
@@ -424,10 +401,29 @@ def check_cellularity(spec: SpectralSequence) -> list:
 
 
 def cellular_complex(spec: SpectralSequence) -> CellularComplex:
-    groups = {cell: spec.group(1, *cell) for cell in spec.grid}
-    horizontal = {cell: hom for cell, hom in spec.diffs[1].items()}
-    bi = Bicomplex(groups, horizontal, {})
-    total, blocks = total_complex(bi)
+    """Degree n is the direct sum of the E¹ entries (p, q) with p + q = n,
+    and the differential is d¹ block by block."""
+    blocks: Dict[int, list] = {}
+    for cell in spec.grid:  # sorted, so each block is too
+        blocks.setdefault(sum(cell), []).append(cell)
+    e1 = {cell: spec.group(1, *cell) for cell in spec.grid}
+
+    def block(src, tgt):
+        d = spec.differential(1, *src)
+        if d is not None and tgt == (src[0] - 1, src[1]):
+            return d
+        return GroupHom.zero_map(e1[src], e1[tgt])
+
+    groups = {n: direct_sum([e1[c] for c in cells])
+              for n, cells in blocks.items()}
+    diffs = {n: hom_concat([hom_stack([block(s, t) for t in blocks[n - 1]])
+                            for s in blocks[n]])
+             for n in blocks if n - 1 in blocks}
+    total = ChainComplex(min(blocks), max(blocks), groups, diffs)
+    bad = total.verify()
+    if bad:
+        raise ValueError(
+            f"total differential does not square to zero: {bad[0]!r}")
     return CellularComplex(total, blocks, check_cellularity(spec))
 
 
@@ -447,34 +443,22 @@ def recover_homology(spec: SpectralSequence, cell: CellularComplex,
     if cell.offenders:
         raise ValueError(
             f"filtration is not cellular; offending entries {cell.offenders}")
-    h_cell, reps = cell.total.homology_with_reps(n)
-    group_x, _, expresser = spec.base_homology(n)
     d_n = spec.chains.differential(n).matrix
     m = spec.modulus
-    start = 0
-    top_entry = None
-    for (p, q) in cell.blocks.get(n, []):
-        if (p, q) == (n, 0):
-            top_entry = spec.entry(1, p, q)
-            break
-        start += spec.entry(1, p, q).group.ngens
-    cols = []
-    for j in range(reps.cols):
-        if top_entry is None:
+    # every entry of total degree n has p >= n, so (n, 0) leads its block
+    top = spec.pages[1].get((n, 0))
+
+    def lift(chain):
+        if top is None:
             z = [0] * spec.dim(n)
         else:
-            seg = reps.col(j)[start: start + top_entry.group.ngens]
-            z = list(top_entry.reps.apply(seg))
-        bdry = d_n.apply(z)
-        if any(b if m == 0 else b % m for b in bdry):
+            z = list(top.reps.apply(chain[:top.group.ngens]))
+        if any(b if m == 0 else b % m for b in d_n.apply(z)):
             raise RuntimeError("restricted chain is not a cycle")
-        coords = expresser.express(z)
-        if coords is None:
-            raise RuntimeError("recovered cycle escapes the cycle lattice")
-        cols.append(list(coords))
-    hom = GroupHom(h_cell, group_x, IntMatrix.from_cols(cols, group_x.ngens))
-    hom.require_well_defined()
-    return hom
+        return z
+
+    return induced_hom(cell.total.homology_with_reps(n), spec.base_homology(n),
+                       lift, "recovered cycle escapes the cycle lattice")
 
 
 # -- comparisons and reports -----------------------------------------------------

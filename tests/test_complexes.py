@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from homlab.complexes import Bicomplex, ChainComplex, check_long_exact, total_complex
+from homlab.complexes import ChainComplex, check_long_exact, homology_entry, induced_hom
 from homlab.fga import FgAbGroup, GroupHom, IntMatrix, kernel
 
 Z = FgAbGroup.free(1)
@@ -54,6 +54,13 @@ def test_verify_reports_broken_complex():
     assert bad[0].generator == 0
     assert bad[0].image == (1,)
     with pytest.raises(ValueError):
+        c.homology(1)
+
+
+def test_homology_rejects_differential_that_is_not_a_homomorphism():
+    z2 = FgAbGroup.cyclic(2)
+    c = ChainComplex(0, 1, {1: z2, 0: Z}, {1: GroupHom(z2, Z, IntMatrix([[1]]))})
+    with pytest.raises(ValueError, match="not a homomorphism, at degree 1"):
         c.homology(1)
 
 
@@ -117,64 +124,12 @@ def test_check_long_exact_rejects_mismatch():
         check_long_exact([Z, Z], [GroupHom.identity(FgAbGroup.free(2))])
 
 
-def grid_of_z_with_identities():
-    groups = {(0, 0): Z, (1, 0): Z, (0, 1): Z, (1, 1): Z}
-    ident = GroupHom.identity(Z)
-    horizontal = {(1, 0): ident, (1, 1): ident}
-    vertical = {(0, 1): ident, (1, 1): ident}
-    return Bicomplex(groups, horizontal, vertical)
-
-
-def test_total_complex_of_identity_grid():
-    bi = grid_of_z_with_identities()
-    assert bi.validate() == []
-    tot, blocks = total_complex(bi)
-    assert not tot.verify()
-    assert blocks[1] == [(0, 1), (1, 0)]
-    # the twisted differential out of (1,1) is (horizontal, -vertical)
-    assert tot.differential(2).matrix == IntMatrix([[1], [-1]])
-    for n in range(0, 3):
-        assert tot.homology(n).is_trivial()
-
-
-def test_bicomplex_validate_catches_noncommuting_square():
-    groups = {(0, 0): Z, (1, 0): Z, (0, 1): Z, (1, 1): Z}
-    ident = GroupHom.identity(Z)
-    dbl = GroupHom(Z, Z, IntMatrix([[2]]))
-    bi = Bicomplex(groups, {(1, 0): ident, (1, 1): ident},
-                   {(0, 1): ident, (1, 1): dbl})
-    issues = bi.validate()
-    assert any(reason == "square does not commute" for _, reason in issues)
-    with pytest.raises(ValueError):
-        total_complex(bi)
-
-
-def test_total_complex_zero_verticals_is_row_sum():
-    rng = random.Random(17)
-    for _ in range(8):
-        rows = {}
-        horizontal = {}
-        for q in (0, 1):
-            c = random_three_term(rng, maxdim=3)
-            for p in range(0, 3):
-                rows[(p, q)] = c.group(p)
-            for p in range(1, 3):
-                horizontal[(p, q)] = c.differential(p)
-        bi = Bicomplex(rows, horizontal, {})
-        tot, _ = total_complex(bi)
-        for n in range(tot.n_min, tot.n_max + 1):
-            expect_rank = 0
-            expect_torsion = []
-            for q in (0, 1):
-                p = n - q
-                if 0 <= p <= 2:
-                    sub = ChainComplex(
-                        0, 2,
-                        {pp: rows[(pp, q)] for pp in range(3)},
-                        {pp: horizontal[(pp, q)] for pp in range(1, 3)})
-                    r, tor = sub.homology(p).iso_invariants()
-                    expect_rank += r
-                    expect_torsion.extend(tor)
-            r, tor = tot.homology(n).iso_invariants()
-            assert r == expect_rank
-            assert sorted(tor) == sorted(expect_torsion)
+def test_induced_hom_pushes_representatives_or_raises_its_text():
+    # Z/6 -> Z/3 as subquotients of Z: 1 + 6Z |-> 2 + 6Z, read in 2Z/6Z
+    z6 = homology_entry(1, IntMatrix([[1]]), IntMatrix([[6]]))
+    z3 = homology_entry(1, IntMatrix([[2]]), IntMatrix([[6]]))
+    hom = induced_hom(z6, z3, lambda v: [2 * v[0]], "image leaves 2Z")
+    assert hom.matrix == IntMatrix([[1]])
+    assert hom.target.iso_invariants() == (0, (3,))
+    with pytest.raises(RuntimeError, match="image leaves 2Z"):
+        induced_hom(z6, z3, lambda v: [3 * v[0]], "image leaves 2Z")

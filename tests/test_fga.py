@@ -275,6 +275,27 @@ def test_unimodular_inverse():
         Minv = unimodular_inverse(M)
         assert M @ Minv == IntMatrix.identity(n)
         assert Minv @ M == IntMatrix.identity(n)
+    assert unimodular_inverse(IntMatrix.zeros(0, 0)) == IntMatrix.identity(0)
+    for bad in ([[2]], [[1, 1], [1, 1]], [[0]], [[2, 1], [1, 2]]):
+        with pytest.raises(ValueError, match="not unimodular"):
+            unimodular_inverse(IntMatrix(bad))
+    with pytest.raises(ValueError, match="not unimodular"):
+        unimodular_inverse(IntMatrix([[1, 0]]))
+    with pytest.raises(ValueError, match="not unimodular"):
+        unimodular_inverse(IntMatrix([[1], [0]]))
+
+
+def test_unimodular_inverse_matches_smith_route():
+    """The inverse is unique, so it equals V @ U from the Smith form of
+    a unimodular matrix, here the U of a Smith form."""
+    rng = random.Random(7)
+    for _ in range(60):
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        A = IntMatrix([[rng.randint(-6, 6) if rng.random() < 0.6 else 0
+                        for _ in range(c)] for _ in range(r)])
+        U = smith(A).U
+        s = smith(U)
+        assert unimodular_inverse(U) == s.V @ s.U
 
 
 def test_iso_invariants_examples():
