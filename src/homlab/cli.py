@@ -7,6 +7,7 @@ inputs produce byte-identical output.  Timing goes to stderr.  Exit codes:
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import re
@@ -37,7 +38,7 @@ from .niveau import (
     recover_homology,
     spectral_summary,
 )
-from .simp import EMPTY_NAME, DiagramBuilder, Filtration, SimplicialComplex
+from .simp import EMPTY_NAME, Filtration
 
 _WINDOW_RE = re.compile(r"(-?\d+)\.\.(-?\d+)")
 _COEFF_RE = re.compile(r"Zmod(\d+)")
@@ -75,37 +76,20 @@ def _parse_flavors(text: str) -> tuple:
 
 
 def _build_diagram(ws):
-    """Every declared complex becomes an absolute node; the rest of the
-    declarations are handed through unchanged."""
-    b = DiagramBuilder()
-    for name in sorted(ws.complexes):
-        b.add_complex(name, ws.complexes[name])
-        b.add_pair(name)
-    for total, sub in ws.pairs:
-        b.add_pair(total, sub)
-    for name, src, tgt, mname in ws.edges:
-        b.add_edge(name, src, tgt, ws.maps[mname])
-    for name, x, y, z in ws.triples:
-        b.add_triple(name, x, y, z)
-    for name, x, u, v in ws.squares:
-        b.add_square(name, x, u, v)
-    for name, src, tgt, mname in ws.square_maps:
-        b.add_square_map(name, src, tgt, ws.maps[mname])
-    for total, sub in ws.prisms:
-        b.add_prism(total, sub)
-    for name, src, tgt, mname in ws.cubes:
-        b.add_cube(name, src, tgt, ws.maps[mname])
-    return b.build()
+    """The declared diagram, with every declared complex as an absolute
+    node too; `ws` is left as parsed."""
+    d = ws.diagram
+    absolute = [(name, EMPTY_NAME)
+                for name in sorted(d.complexes.keys() - {EMPTY_NAME})]
+    return dataclasses.replace(d, pairs=absolute + d.pairs).build()
 
 
 def _filtration(ws, fname: str) -> Filtration:
     base_name, steps = ws.filtrations[fname]
-    base = ws.complexes[base_name]
+    cx = ws.diagram.complexes
     if steps == "skeletal":
-        return Filtration.skeletal(base)
-    resolved = [SimplicialComplex.empty() if s == EMPTY_NAME
-                else ws.complexes[s] for s in steps]
-    return Filtration(base, resolved)
+        return Filtration.skeletal(cx[base_name])
+    return Filtration(cx[base_name], [cx[s] for s in steps])
 
 
 # -- command handlers ----------------------------------------------------------
@@ -188,7 +172,7 @@ def _cmd_sequent(ws, modulus, window):
 def _cmd_end_algebra(ws, modulus, window):
     diagram = _build_diagram(ws)
     model = HomologyModel(diagram, modulus, window)
-    rep, _sig = representation_from_model(model, diagram)
+    rep, _sig = representation_from_model(model)
     alg = end_algebra(rep)
     action = verify_module_action(rep, alg)
     data = alg.as_json_dict()

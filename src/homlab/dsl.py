@@ -32,6 +32,7 @@ from .logic import (
 )
 from .simp import (
     EMPTY_NAME,
+    DiagramBuilder,
     Filtration,
     PairMorphism,
     SimpPair,
@@ -95,19 +96,15 @@ def tokenize(text: str) -> List[List[Token]]:
 class WorkbenchSpec:
     """Everything a run needs, fully cross-checked at parse time.
 
-    Declaration lists keep file order; the dicts are keyed by name.  The
-    command is a tuple like ("cellular", "F") or ("validate",).
+    `diagram` holds the complexes and diagram declarations in file order;
+    `map_names` gives the map each edge, square map and cube was declared
+    with.  The other dicts are keyed by name.  The command is a tuple like
+    ("cellular", "F") or ("validate",).
     """
 
-    complexes: Dict[str, SimplicialComplex] = field(default_factory=dict)
+    diagram: DiagramBuilder = field(default_factory=DiagramBuilder)
     maps: Dict[str, Dict[str, str]] = field(default_factory=dict)
-    pairs: List[Tuple[str, str]] = field(default_factory=list)
-    edges: List[tuple] = field(default_factory=list)
-    triples: List[tuple] = field(default_factory=list)
-    squares: List[tuple] = field(default_factory=list)
-    square_maps: List[tuple] = field(default_factory=list)
-    prisms: List[Tuple[str, str]] = field(default_factory=list)
-    cubes: List[tuple] = field(default_factory=list)
+    map_names: Dict[str, str] = field(default_factory=dict)
     filtrations: Dict[str, tuple] = field(default_factory=dict)
     sequents: Dict[str, Sequent] = field(default_factory=dict)
     command: Optional[tuple] = None
@@ -159,46 +156,37 @@ class _Parser:
 def parse(text: str) -> WorkbenchSpec:
     ws = WorkbenchSpec()
     rows = tokenize(text)
-    # names already claimed: complexes on one side, diagram parts (edges,
-    # triples, squares, square maps, cubes) share the other
-    ns = {"complex": {EMPTY_NAME}, "diagram": set()}
+    # names of diagram parts (edges, triples, squares, square maps, cubes),
+    # which share one namespace apart from the complexes
+    parts = set()
     for row in rows:
-        _parse_statement(_Parser(row), ws, ns)
+        _parse_statement(_Parser(row), ws, parts)
     if ws.command is None:
         last = rows[-1][-1].line if rows else 1
         raise DslError(last, 1, "no command statement")
     return ws
 
 
-def _claim_complex(ns, tok):
-    if tok.text in ns["complex"]:
+def _claim_complex(ws, tok):
+    if tok.text in ws.diagram.complexes:
         if tok.text == EMPTY_NAME:
             msg = "0 names the empty complex and cannot be redeclared"
         else:
             msg = f"name {tok.text!r} already declared"
         raise DslError(tok.line, tok.col, msg)
-    ns["complex"].add(tok.text)
 
 
-def _claim_diagram(ns, tok):
-    if tok.text in ns["diagram"]:
+def _claim_part(parts, tok):
+    if tok.text in parts:
         raise DslError(tok.line, tok.col,
                        f"name {tok.text!r} already declared")
-    ns["diagram"].add(tok.text)
-
-
-def _cx(ws, name: str) -> SimplicialComplex:
-    if name == EMPTY_NAME:
-        return SimplicialComplex.empty()
-    return ws.complexes[name]
+    parts.add(tok.text)
 
 
 def _get_complex(ws, tok) -> SimplicialComplex:
-    if tok.text == EMPTY_NAME:
-        return SimplicialComplex.empty()
-    if tok.text not in ws.complexes:
+    if tok.text not in ws.diagram.complexes:
         raise DslError(tok.line, tok.col, f"unknown complex {tok.text!r}")
-    return ws.complexes[tok.text]
+    return ws.diagram.complexes[tok.text]
 
 
 def _get_map(ws, tok) -> Dict[str, str]:
@@ -230,13 +218,13 @@ def _vertex(p: _Parser) -> Token:
     return tok
 
 
-def _parse_statement(p: _Parser, ws: WorkbenchSpec, ns):
+def _parse_statement(p: _Parser, ws: WorkbenchSpec, parts: set):
     head = p.ident("a statement keyword")
     word = head.text
 
     if word == "complex":
         name = p.ident("a complex name")
-        _claim_complex(ns, name)
+        _claim_complex(ws, name)
         p.expect("=")
         p.expect("{")
         simplices = []
@@ -256,8 +244,8 @@ def _parse_statement(p: _Parser, ws: WorkbenchSpec, ns):
             if tok.text != ",":
                 p.error("expected ',' or '}'", tok)
         p.done()
-        ws.complexes[name.text] = \
-            SimplicialComplex.from_maximal_simplices(simplices)
+        ws.diagram.add_complex(
+            name.text, SimplicialComplex.from_maximal_simplices(simplices))
         return
 
     if word == "map":
@@ -288,18 +276,18 @@ def _parse_statement(p: _Parser, ws: WorkbenchSpec, ns):
         return
 
     if word == "pair":
-        ws.pairs.append(_pair_ref(p, ws))
+        ws.diagram.add_pair(*_pair_ref(p, ws))
         p.done()
         return
 
     if word == "prism":
-        ws.prisms.append(_pair_ref(p, ws))
+        ws.diagram.add_prism(*_pair_ref(p, ws))
         p.done()
         return
 
     if word == "edge":
         name = p.ident("an edge name")
-        _claim_diagram(ns, name)
+        _claim_part(parts, name)
         p.expect(":")
         src = _pair_ref(p, ws)
         p.expect("->")
@@ -308,19 +296,19 @@ def _parse_statement(p: _Parser, ws: WorkbenchSpec, ns):
         mtok = p.ident("a map name")
         vmap = _get_map(ws, mtok)
         p.done()
+        cx = ws.diagram.complexes
         try:
-            PairMorphism(name.text,
-                         SimpPair(_cx(ws, src[0]), _cx(ws, src[1])),
-                         SimpPair(_cx(ws, tgt[0]), _cx(ws, tgt[1])),
-                         vmap)
+            PairMorphism(name.text, SimpPair(cx[src[0]], cx[src[1]]),
+                         SimpPair(cx[tgt[0]], cx[tgt[1]]), vmap)
         except ValueError as exc:
             raise DslError(mtok.line, mtok.col, str(exc))
-        ws.edges.append((name.text, src, tgt, mtok.text))
+        ws.diagram.add_edge(name.text, src, tgt, vmap)
+        ws.map_names[name.text] = mtok.text
         return
 
     if word == "triple":
         name = p.ident("a triple name")
-        _claim_diagram(ns, name)
+        _claim_part(parts, name)
         p.expect(":")
         x = p.ident("a complex name")
         p.expect("/")
@@ -337,12 +325,12 @@ def _parse_statement(p: _Parser, ws: WorkbenchSpec, ns):
             raise DslError(name.line, name.col,
                            f"triple {name.text!r} is not a chain of "
                            "subcomplexes")
-        ws.triples.append((name.text, x.text, y.text, z.text))
+        ws.diagram.add_triple(name.text, x.text, y.text, z.text)
         return
 
     if word == "square":
         name = p.ident("a square name")
-        _claim_diagram(ns, name)
+        _claim_part(parts, name)
         p.expect(":")
         u = p.ident("a complex name")
         p.expect("+")
@@ -355,12 +343,12 @@ def _parse_statement(p: _Parser, ws: WorkbenchSpec, ns):
                              ambient=_get_complex(ws, x))
         except ValueError as exc:
             raise DslError(name.line, name.col, str(exc))
-        ws.squares.append((name.text, x.text, u.text, v.text))
+        ws.diagram.add_square(name.text, x.text, u.text, v.text)
         return
 
     if word == "squaremap":
         name = p.ident("a square map name")
-        _claim_diagram(ns, name)
+        _claim_part(parts, name)
         p.expect(":")
         src = p.ident("a square name")
         p.expect("->")
@@ -368,17 +356,18 @@ def _parse_statement(p: _Parser, ws: WorkbenchSpec, ns):
         p.expect("by")
         mtok = p.ident("a map name")
         p.done()
-        known = {q[0] for q in ws.squares}
+        known = {q[0] for q in ws.diagram.squares}
         for t in (src, tgt):
             if t.text not in known:
                 raise DslError(t.line, t.col, f"unknown square {t.text!r}")
-        _get_map(ws, mtok)
-        ws.square_maps.append((name.text, src.text, tgt.text, mtok.text))
+        ws.diagram.add_square_map(name.text, src.text, tgt.text,
+                                  _get_map(ws, mtok))
+        ws.map_names[name.text] = mtok.text
         return
 
     if word == "cube":
         name = p.ident("a cube name")
-        _claim_diagram(ns, name)
+        _claim_part(parts, name)
         p.expect(":")
         src = p.ident("a triple name")
         p.expect("->")
@@ -386,12 +375,12 @@ def _parse_statement(p: _Parser, ws: WorkbenchSpec, ns):
         p.expect("by")
         mtok = p.ident("a map name")
         p.done()
-        known = {t[0] for t in ws.triples}
+        known = {t[0] for t in ws.diagram.triples}
         for t in (src, tgt):
             if t.text not in known:
                 raise DslError(t.line, t.col, f"unknown triple {t.text!r}")
-        _get_map(ws, mtok)
-        ws.cubes.append((name.text, src.text, tgt.text, mtok.text))
+        ws.diagram.add_cube(name.text, src.text, tgt.text, _get_map(ws, mtok))
+        ws.map_names[name.text] = mtok.text
         return
 
     if word == "filtration":
@@ -476,11 +465,11 @@ def _parse_statement(p: _Parser, ws: WorkbenchSpec, ns):
 def _known_totals(ws) -> set:
     """Complex names a sort may mention, including the ones the diagram
     will synthesize for squares and prisms."""
-    known = set(ws.complexes) | {EMPTY_NAME}
-    for name, _x, _u, _v in ws.squares:
+    known = set(ws.diagram.complexes)
+    for name, _x, _u, _v in ws.diagram.squares:
         known.add(f"{name}.b")
         known.add(f"{name}.d")
-    for total, sub in ws.prisms:
+    for total, sub in ws.diagram.prisms:
         known.add(f"{total}xI")
         if sub != EMPTY_NAME:
             known.add(f"{sub}xI")
@@ -735,29 +724,31 @@ def print_spec(ws: WorkbenchSpec) -> str:
     order, the command last.  Bare zeros print as plain 0 whatever sort
     resolution later gives them.
     """
+    d = ws.diagram
     lines = []
-    for name in sorted(ws.complexes):
+    for name in sorted(d.complexes.keys() - {EMPTY_NAME}):
         lines.append(f"complex {name} = "
-                     f"{_print_simplices(ws.complexes[name])}")
+                     f"{_print_simplices(d.complexes[name])}")
     for name in sorted(ws.maps):
         inner = ", ".join(f"{k}:{v}"
                           for k, v in sorted(ws.maps[name].items()))
         lines.append(f"map {name} = {{{inner}}}")
-    for total, sub in ws.pairs:
+    for total, sub in d.pairs:
         lines.append(f"pair {total} / {sub}")
-    for name, src, tgt, vmap in ws.edges:
+    for name, src, tgt, _ in d.edges:
         lines.append(f"edge {name} : {src[0]} / {src[1]} -> "
-                     f"{tgt[0]} / {tgt[1]} by {vmap}")
-    for name, x, y, z in ws.triples:
+                     f"{tgt[0]} / {tgt[1]} by {ws.map_names[name]}")
+    for name, x, y, z in d.triples:
         lines.append(f"triple {name} : {x} / {y} / {z}")
-    for name, x, u, v in ws.squares:
+    for name, x, u, v in d.squares:
         lines.append(f"square {name} : {u} + {v} in {x}")
-    for name, src, tgt, vmap in ws.square_maps:
-        lines.append(f"squaremap {name} : {src} -> {tgt} by {vmap}")
-    for total, sub in ws.prisms:
+    for name, src, tgt, _ in d.square_maps:
+        lines.append(f"squaremap {name} : {src} -> {tgt} "
+                     f"by {ws.map_names[name]}")
+    for total, sub in d.prisms:
         lines.append(f"prism {total} / {sub}")
-    for name, src, tgt, vmap in ws.cubes:
-        lines.append(f"cube {name} : {src} -> {tgt} by {vmap}")
+    for name, src, tgt, _ in d.cubes:
+        lines.append(f"cube {name} : {src} -> {tgt} by {ws.map_names[name]}")
     for name in sorted(ws.filtrations):
         base, steps = ws.filtrations[name]
         if steps == "skeletal":

@@ -23,7 +23,7 @@ from .fga import (
     lattice_basis,
     present_subquotient,
 )
-from .logic import Signature, generate_signature
+from .logic import Signature, generate_signature, symbol_hom
 
 
 @dataclass(frozen=True)
@@ -90,26 +90,18 @@ class Representation:
         return Subdiagram(picked, chosen)
 
 
-def representation_from_model(model, diagram,
-                              window: Optional[Tuple[int, int]] = None,
-                              ) -> Tuple[Representation, Signature]:
+def representation_from_model(model) -> Tuple[Representation, Signature]:
     """The canonical representation of a homology model.
 
-    Nodes are the sorts of the diagram's signature over the window, edges
-    are every induced map and every connecting map.  Partial edges carry
-    no symbol of their own, so they contribute nothing here either.
+    Nodes are the sorts of the model diagram's signature over the model's
+    window, edges are every induced map and every connecting map.  Partial
+    edges carry no symbol of their own, so they contribute nothing here
+    either.
     """
-    sig = generate_signature(diagram, model.window if window is None else window)
+    sig = generate_signature(model.diagram, model.window)
     groups = {name: model.group(key, n) for name, (key, n) in sig.sorts.items()}
-    homs = {}
-    for fname, info in sig.funcs.items():
-        if info.kind == "edge":
-            hom = model.induced(info.ref, info.degree)
-        elif info.kind == "connecting":
-            hom = model.connecting(info.ref, info.degree)
-        else:
-            hom = model.mv_connecting(info.ref, info.degree)
-        homs[fname] = (info.source, info.target, hom)
+    homs = {fname: (info.source, info.target, symbol_hom(model, info))
+            for fname, info in sig.funcs.items()}
     return Representation(groups, homs), sig
 
 
@@ -168,7 +160,7 @@ class EndAlgebra:
         raw = self._expresser.express(_flatten(mats))
         if raw is None:
             return None
-        return self.reduce(self._canon.coords(raw))
+        return self._canon.coords(raw)
 
     def element(self, coords: Sequence[int]) -> tuple:
         """The endomorphism tuple with these basis coordinates."""
@@ -325,23 +317,21 @@ def end_algebra(T: Representation, F: Optional[Subdiagram] = None) -> EndAlgebra
         basis.append(unflatten(P.apply(canon.lift(e))))
     basis = tuple(basis)
 
+    alg = EndAlgebra(F, nodes, sizes, group, basis, (), (), expresser, canon)
+
     def express(mats) -> tuple:
-        raw_coords = expresser.express(_flatten(mats))
-        if raw_coords is None:
+        coords = alg.coordinates_of(mats)
+        if coords is None:
             raise RuntimeError(
                 "commutant is not closed; an expected product escaped it")
-        diag = tuple(d for _, d in canon.positions)
-        c = canon.coords(raw_coords)
-        return tuple(v % d if d else v for v, d in zip(c, diag))
+        return coords
 
-    unit = express(tuple(IntMatrix.identity(n) for n in sizes))
-    structure = tuple(
+    alg.unit = express(tuple(IntMatrix.identity(n) for n in sizes))
+    alg.structure = tuple(
         tuple(express(tuple(a @ b for a, b in zip(basis[i], basis[j])))
               for j in range(ngens))
         for i in range(ngens))
-
-    return EndAlgebra(F, nodes, sizes, group, basis, structure, unit,
-                      expresser, canon)
+    return alg
 
 
 def restriction_map(big: EndAlgebra, small: EndAlgebra) -> GroupHom:

@@ -537,6 +537,15 @@ class FiniteStructure:
         self.tables[name] = table
 
 
+def symbol_hom(model, info: FuncInfo) -> GroupHom:
+    """The map of the model that a signature symbol names."""
+    if info.kind == "edge":
+        return model.induced(info.ref, info.degree)
+    if info.kind == "connecting":
+        return model.connecting(info.ref, info.degree)
+    return model.mv_connecting(info.ref, info.degree)
+
+
 def export_finite_structure(model, sig: Signature) -> FiniteStructure:
     """Tabulate every sort and symbol of the signature over the model.
 
@@ -554,12 +563,7 @@ def export_finite_structure(model, sig: Signature) -> FiniteStructure:
         forms[name] = cf
         st.add_sort(name, cf.torsion, cf.elements())
     for fname, info in sorted(sig.funcs.items()):
-        if info.kind == "edge":
-            hom = model.induced(info.ref, info.degree)
-        elif info.kind == "connecting":
-            hom = model.connecting(info.ref, info.degree)
-        else:
-            hom = model.mv_connecting(info.ref, info.degree)
+        hom = symbol_hom(model, info)
         src_cf, tgt_cf = forms[info.source], forms[info.target]
         table = {}
         for e in st.carriers[info.source]:
@@ -733,6 +737,41 @@ def _mv_beta(model, q, n) -> GroupHom:
     return hom_concat([model.induced(q.ja, n), model.induced(q.jc, n)])
 
 
+# Each part of a long-exact segment (m0, m1, m2, m3) checks one pair of
+# adjacent maps (m_i, m_{i+1}): a triple's segment is (bt_n, bp_n, d_n,
+# bt_{n-1}), a square's is (alpha_n, beta_n, mv_n, alpha_{n-1}).
+_SEGMENT_PARTS = {
+    "exactness": {
+        "comp_bt_bp": (composite_is_zero, 0), "onto_bt": (kernel_in_image, 0),
+        "comp_bp_bd": (composite_is_zero, 1), "onto_bp": (kernel_in_image, 1),
+        "comp_bd_bt": (composite_is_zero, 2), "onto_bd": (kernel_in_image, 2),
+    },
+    "mv": {
+        "comp_pieces": (composite_is_zero, 0),
+        "onto_pieces": (kernel_in_image, 0),
+        "comp_union": (composite_is_zero, 1),
+        "onto_union": (kernel_in_image, 1),
+        "comp_inter": (composite_is_zero, 2),
+        "onto_inter": (kernel_in_image, 2),
+    },
+}
+
+
+def _segment(model, family, name, n) -> tuple:
+    """The four maps of the segment, each fetched only when called."""
+    if family == "exactness":
+        t = model.diagram.triples[name]
+        return (lambda: model.induced(t.bt, n),
+                lambda: model.induced(t.bp, n),
+                lambda: model.connecting(name, n),
+                lambda: model.induced(t.bt, n - 1))
+    q = model.diagram.squares[name]
+    return (lambda: _mv_alpha(model, q, n),
+            lambda: _mv_beta(model, q, n),
+            lambda: model.mv_connecting(name, n),
+            lambda: _mv_alpha(model, q, n - 1))
+
+
 def _check_axiom(model, axiom: AxiomInstance):
     diagram = model.diagram
     tag = axiom.tag
@@ -762,48 +801,13 @@ def _check_axiom(model, axiom: AxiomInstance):
         pe = diagram.prisms[(total, sub)]
         ok = model.induced(pe.i0, n).equal_to(model.induced(pe.i1, n))
         return ok, "" if ok else "the two end maps differ"
-    if family == "exactness":
-        _, tname, n, which = tag
-        t = diagram.triples[tname]
-        bt = model.induced(t.bt, n)
-        bp = model.induced(t.bp, n)
-        if which == "comp_bt_bp":
-            w = composite_is_zero(bt, bp)
-        elif which == "onto_bt":
-            w = kernel_in_image(bt, bp)
-        else:
-            con = model.connecting(tname, n)
-            bt1 = model.induced(t.bt, n - 1)
-            if which == "comp_bp_bd":
-                w = composite_is_zero(bp, con)
-            elif which == "comp_bd_bt":
-                w = composite_is_zero(con, bt1)
-            elif which == "onto_bp":
-                w = kernel_in_image(bp, con)
-            elif which == "onto_bd":
-                w = kernel_in_image(con, bt1)
-            else:
-                raise ValueError(f"unknown exactness part {which!r}")
-        return w is None, "" if w is None else f"witness {w}"
-    if family == "mv":
-        _, qname, n, which = tag
-        q = diagram.squares[qname]
-        if which == "comp_pieces":
-            w = composite_is_zero(_mv_alpha(model, q, n), _mv_beta(model, q, n))
-        elif which == "onto_pieces":
-            w = kernel_in_image(_mv_alpha(model, q, n), _mv_beta(model, q, n))
-        else:
-            mv = model.mv_connecting(qname, n)
-            if which == "comp_union":
-                w = composite_is_zero(_mv_beta(model, q, n), mv)
-            elif which == "comp_inter":
-                w = composite_is_zero(mv, _mv_alpha(model, q, n - 1))
-            elif which == "onto_union":
-                w = kernel_in_image(_mv_beta(model, q, n), mv)
-            elif which == "onto_inter":
-                w = kernel_in_image(mv, _mv_alpha(model, q, n - 1))
-            else:
-                raise ValueError(f"unknown square part {which!r}")
+    if family in _SEGMENT_PARTS:
+        _, name, n, which = tag
+        if which not in _SEGMENT_PARTS[family]:
+            raise ValueError(f"unknown {family} part {which!r}")
+        check, i = _SEGMENT_PARTS[family][which]
+        maps = _segment(model, family, name, n)
+        w = check(maps[i](), maps[i + 1]())
         return w is None, "" if w is None else f"witness {w}"
     if family == "mv_naturality":
         _, mname, n = tag

@@ -286,7 +286,7 @@ def check_convergence(spec: SpectralSequence,
 # -- the first page via relative pairs ------------------------------------------
 
 
-def filtration_diagram(filtration: Filtration, prefix: str = "F"):
+def filtration_diagram(filtration: Filtration):
     """Diagram with one pair per filtration step and the triples that
     produce the first-page differentials.
 
@@ -295,7 +295,7 @@ def filtration_diagram(filtration: Filtration, prefix: str = "F"):
     b = DiagramBuilder()
     names = []
     for p in range(len(filtration.steps)):
-        name = f"{prefix}{p}"
+        name = f"F{p}"
         b.add_complex(name, filtration.steps[p])
         names.append(name)
     pair_keys = []
@@ -306,7 +306,7 @@ def filtration_diagram(filtration: Filtration, prefix: str = "F"):
     triple_names = {}
     for p in range(1, len(names)):
         small = names[p - 2] if p >= 2 else EMPTY_NAME
-        tname = f"{prefix}t{p}"
+        tname = f"Ft{p}"
         b.add_triple(tname, names[p], names[p - 1], small)
         triple_names[p] = tname
     return b.build(), pair_keys, triple_names
@@ -491,25 +491,23 @@ def _invariants_json(inv: tuple) -> list:
     return [free, list(torsion)]
 
 
-def spectral_summary(spec: SpectralSequence, include_niveau: bool = True) -> dict:
+def spectral_summary(spec: SpectralSequence) -> dict:
     """JSON-ready (stringified keys, no tuples) description of the pages."""
     pages = {}
     for r in sorted(spec.pages):
         pages[str(r)] = {
             f"{p},{q}": _invariants_json(e.group.iso_invariants())
             for (p, q), e in sorted(spec.pages[r].items())}
-    out = {
+    niv = niveau_filtration(spec)
+    return {
         "modulus": spec.modulus,
         "filtration_length": spec.d_len,
         "stable_page": spec.stable_index(),
         "pages": pages,
+        "homology": {str(n): _invariants_json(v)
+                     for n, v in sorted(niv.homology.items())},
+        "graded": {f"{p},{n}": _invariants_json(v)
+                   for (p, n), v in sorted(niv.graded.items())
+                   if v != (0, ())},
+        "converges": not check_convergence(spec, niv),
     }
-    if include_niveau:
-        niv = niveau_filtration(spec)
-        out["homology"] = {str(n): _invariants_json(v)
-                           for n, v in sorted(niv.homology.items())}
-        out["graded"] = {f"{p},{n}": _invariants_json(v)
-                         for (p, n), v in sorted(niv.graded.items())
-                         if v != (0, ())}
-        out["converges"] = not check_convergence(spec, niv)
-    return out

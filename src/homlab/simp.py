@@ -10,6 +10,7 @@ generates connecting maps and axiom instances.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 EMPTY_NAME = "0"
@@ -491,20 +492,6 @@ class PrismEdges:
         self.pr = f"{base}.pr"
 
 
-class DiagramSpec:
-    """Declarative input for build_diagram."""
-
-    def __init__(self):
-        self.complexes: Dict[str, SimplicialComplex] = {}
-        self.pairs: List[Tuple[str, str]] = []
-        self.edges: List[tuple] = []        # (name, src pair, tgt pair, vmap)
-        self.triples: List[tuple] = []      # (name, x, y, z)
-        self.squares: List[tuple] = []      # (name, x, u, v)
-        self.square_maps: List[tuple] = []  # (name, src square, tgt square, vmap)
-        self.prisms: List[Tuple[str, str]] = []
-        self.cubes: List[tuple] = []        # (name, src triple, tgt triple, vmap)
-
-
 class PairDiagram:
     """Built diagram: nodes keyed by (total name, sub name), edges closed
     under identities and the connecting factorization of every triple."""
@@ -531,50 +518,63 @@ class PairDiagram:
         return f"id:{key[0]}/{key[1]}"
 
 
+@dataclass
 class DiagramBuilder:
-    def __init__(self):
-        self.spec = DiagramSpec()
-        self.spec.complexes[EMPTY_NAME] = SimplicialComplex.empty()
+    """The declarations of a pair diagram, in the order they were made.
+
+    `complexes` always maps `0` to the empty complex.  `build()` checks
+    the declarations against each other and returns the PairDiagram.
+    """
+
+    complexes: Dict[str, SimplicialComplex] = field(
+        default_factory=lambda: {EMPTY_NAME: SimplicialComplex.empty()})
+    pairs: List[Tuple[str, str]] = field(default_factory=list)
+    edges: List[tuple] = field(default_factory=list)        # (name, src pair, tgt pair, vmap)
+    triples: List[tuple] = field(default_factory=list)      # (name, x, y, z)
+    squares: List[tuple] = field(default_factory=list)      # (name, x, u, v)
+    square_maps: List[tuple] = field(default_factory=list)  # (name, src square, tgt square, vmap)
+    prisms: List[Tuple[str, str]] = field(default_factory=list)
+    cubes: List[tuple] = field(default_factory=list)        # (name, src triple, tgt triple, vmap)
 
     def add_complex(self, name: str, cx: SimplicialComplex):
-        if name in self.spec.complexes and self.spec.complexes[name] != cx:
+        if name in self.complexes and self.complexes[name] != cx:
             raise ValueError(f"complex name {name!r} already used")
-        self.spec.complexes[name] = cx
+        self.complexes[name] = cx
         return self
 
     def add_pair(self, total: str, sub: str = EMPTY_NAME):
-        self.spec.pairs.append((total, sub))
+        self.pairs.append((total, sub))
         return self
 
     def add_edge(self, name, src, tgt, vertex_map):
-        self.spec.edges.append((name, tuple(src), tuple(tgt), dict(vertex_map)))
+        self.edges.append((name, tuple(src), tuple(tgt), dict(vertex_map)))
         return self
 
     def add_triple(self, name, x, y, z=EMPTY_NAME):
-        self.spec.triples.append((name, x, y, z))
+        self.triples.append((name, x, y, z))
         return self
 
     def add_square(self, name, x, u, v):
-        self.spec.squares.append((name, x, u, v))
+        self.squares.append((name, x, u, v))
         return self
 
     def add_square_map(self, name, src, tgt, vertex_map):
-        self.spec.square_maps.append((name, src, tgt, dict(vertex_map)))
+        self.square_maps.append((name, src, tgt, dict(vertex_map)))
         return self
 
     def add_prism(self, total: str, sub: str = EMPTY_NAME):
-        self.spec.prisms.append((total, sub))
+        self.prisms.append((total, sub))
         return self
 
     def add_cube(self, name, src_triple, tgt_triple, vertex_map):
-        self.spec.cubes.append((name, src_triple, tgt_triple, dict(vertex_map)))
+        self.cubes.append((name, src_triple, tgt_triple, dict(vertex_map)))
         return self
 
     def build(self) -> PairDiagram:
-        return build_diagram(self.spec)
+        return build_diagram(self)
 
 
-def build_diagram(spec: DiagramSpec) -> PairDiagram:
+def build_diagram(spec: DiagramBuilder) -> PairDiagram:
     complexes = dict(spec.complexes)
     complexes.setdefault(EMPTY_NAME, SimplicialComplex.empty())
 

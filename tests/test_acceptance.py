@@ -566,7 +566,7 @@ def test_c10_end_algebras():
         b.add_triple("t", "X", "Y")
         model = HomologyModel(b.build(), modulus=rng.choice([0, 0, 2]),
                               window=(0, 1))
-        T, _ = representation_from_model(model, model.diagram)
+        T, _ = representation_from_model(model)
         full = end_algebra(T)
         action = verify_module_action(T, full)
         if not action.ok:

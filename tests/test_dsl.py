@@ -29,7 +29,7 @@ def _parse_error(text):
 
 def test_circle_literal_closes_faces():
     ws = parse("complex S1 = {01, 12, 02}\nvalidate\n")
-    s1 = ws.complexes["S1"]
+    s1 = ws.diagram.complexes["S1"]
     assert len(s1.simplices) == 6
     assert s1.vertices == ("0", "1", "2")
     assert ("0", "2") in s1.simplices
@@ -48,7 +48,7 @@ def test_repeated_vertex_in_literal():
 
 def test_empty_complex_literal():
     ws = parse("complex N = {}\nvalidate\n")
-    assert ws.complexes["N"].simplices == frozenset()
+    assert ws.diagram.complexes["N"].simplices == frozenset()
 
 
 def test_empty_name_is_reserved():

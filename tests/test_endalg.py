@@ -288,7 +288,7 @@ def test_triple_model_representation():
     b.add_triple("t", "X", "Y")
     diagram = b.build()
     model = HomologyModel(diagram, window=(0, 1))
-    T, sig = representation_from_model(model, diagram)
+    T, sig = representation_from_model(model)
     assert set(T.groups) == set(sig.sorts)
     assert "t@1" in T.homs
 
@@ -306,7 +306,7 @@ def test_mod_two_circle_representation():
     b.add_pair("S")
     diagram = b.build()
     model = HomologyModel(diagram, modulus=2, window=(0, 1))
-    T, _ = representation_from_model(model, diagram)
+    T, _ = representation_from_model(model)
     E = end_algebra(T)
     # two isolated Z/2 carriers linked only by identity edges
     assert E.group.iso_invariants() == (0, (2, 2))
