@@ -1,26 +1,39 @@
-"""Large-rung timings of the spectral sequence, past the sizes perfbench runs.
+"""Large-rung timings past the sizes perfbench runs.
 
     python3 scripts/ladder.py [RUNG ...]
 
 Runs from the root of a checkout and imports the package from `src/`.
-Each rung builds one complex, takes its skeletal filtration, and times
-`run_pages` and then `spectral_summary` on the result, in raw seconds of
-one run.  Rungs are the boundary of the 8-simplex and the 10 x 10 and
-14 x 14 grid tori, each over Z and Z/2; name rungs (for example
-`torus14/Z2`) to run only those.  Each line ends with the first 16 hex
-digits of the sha256 of the summary as sorted JSON, so two checkouts can
-be compared for identical results as well as for time.
+Times are raw seconds of one run; name rungs (for example `torus14/Z2`)
+to run only those.
+
+Spectral rungs build one complex, take its skeletal filtration, and time
+`run_pages` and then `spectral_summary` on the result.  They are the
+boundary of the 8-simplex and the 10 x 10 and 14 x 14 grid tori, each
+over Z and Z/2; each line ends with the first 16 hex digits of the
+sha256 of the summary as sorted JSON.
+
+Enumeration rungs time `validate --flavor core,homotopy,cd` through
+`homlab.cli.main`, whose cost is the brute-force sequent enumeration:
+the 4-cycle diagram at Z/11 and Z/13 and the 3-edge circle at Z/97.
+Each line ends with the first 16 hex digits of the sha256 of the report.
+
+So two checkouts can be compared for identical results as well as for
+time.
 """
 
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from homlab.cli import main as cli_main  # noqa: E402
 from homlab.niveau import run_pages, spectral_summary  # noqa: E402
 from homlab.simp import Filtration, SimplicialComplex  # noqa: E402
 
@@ -48,6 +61,29 @@ COMPLEXES = {
 }
 MODULI = {"Z": 0, "Z2": 2}
 
+# the 4-cycle abcd with A = {b, d} and P = {b}; f swaps a and c, g turns
+# the cycle by one step
+CYCLE4 = """complex C = {ab, bc, cd, ad}
+complex A = {b, d}
+complex P = {b}
+map f = {a:c, b:b, c:a, d:d}
+map g = {a:b, b:c, c:d, d:a}
+pair C / A
+edge e : C / A -> C / A by f
+edge h : C -> C by g
+triple t : C / A / P
+validate
+"""
+CIRCLE3 = """complex S = {ab, bc, ac}
+pair S
+validate
+"""
+ENUMERATION = {
+    "cycle4/Zmod11": (CYCLE4, "Zmod11"),
+    "cycle4/Zmod13": (CYCLE4, "Zmod13"),
+    "circle3/Zmod97": (CIRCLE3, "Zmod97"),
+}
+
 
 def run_rung(name: str, modulus: int, facets: list) -> dict:
     nverts = 1 + max(v for f in facets for v in f)
@@ -65,16 +101,33 @@ def run_rung(name: str, modulus: int, facets: list) -> dict:
             "digest": digest.hexdigest()[:16]}
 
 
+def run_validate(name: str, text: str, coeff: str) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp) / "in.hwb", Path(tmp) / "out.json"
+        src.write_text(text)
+        t0 = time.perf_counter()
+        with contextlib.redirect_stderr(io.StringIO()):   # the elapsed line
+            rc = cli_main([str(src), "--coeff", coeff, "--out", str(out),
+                           "--flavor", "core,homotopy,cd"])
+        t1 = time.perf_counter()
+        digest = hashlib.sha256(out.read_bytes())
+    return {"rung": name, "exit": rc, "validate_s": round(t1 - t0, 3),
+            "digest": digest.hexdigest()[:16]}
+
+
 def main(argv: list) -> int:
-    rungs = [(f"{c}/{m}", c, m) for c in COMPLEXES for m in MODULI]
-    unknown = set(argv) - {name for name, _, _ in rungs}
+    rungs = {f"{c}/{m}": lambda c=c, m=m: run_rung(f"{c}/{m}", MODULI[m], COMPLEXES[c]())
+             for c in COMPLEXES for m in MODULI}
+    rungs.update({name: lambda name=name: run_validate(name, *ENUMERATION[name])
+                  for name in ENUMERATION})
+    unknown = set(argv) - set(rungs)
     if unknown:
         print(f"unknown rungs: {sorted(unknown)}", file=sys.stderr)
         return 2
-    for name, c, m in rungs:
+    for name, run in rungs.items():
         if argv and name not in argv:
             continue
-        print(json.dumps(run_rung(name, MODULI[m], COMPLEXES[c]())), flush=True)
+        print(json.dumps(run()), flush=True)
     return 0
 
 

@@ -32,11 +32,13 @@ from .logic import (
 )
 from .simp import (
     EMPTY_NAME,
+    Cube,
     DiagramBuilder,
     Filtration,
     PairMorphism,
     SimpPair,
     SimplicialComplex,
+    SquareMap,
     subcomplex_union,
 )
 
@@ -211,6 +213,18 @@ def _pair_ref(p: _Parser, ws) -> Tuple[str, str]:
     return total.text, sub.text
 
 
+def _check_restrictions(mtok: Token, vmap: Dict[str, str], pieces) -> None:
+    """The map restricted to each piece's source, as the diagram builds
+    it, must be a map of pairs: pieces are (edge name, source pair,
+    target pair).  Errors point at the map token."""
+    for name, src, tgt in pieces:
+        restricted = {v: vmap[v] for v in src.total.vertices if v in vmap}
+        try:
+            PairMorphism(name, src, tgt, restricted)
+        except ValueError as exc:
+            raise DslError(mtok.line, mtok.col, str(exc))
+
+
 def _vertex(p: _Parser) -> Token:
     tok = p.next("expected a vertex")
     if tok.kind != "IDENT" or len(tok.text) != 1:
@@ -356,12 +370,22 @@ def _parse_statement(p: _Parser, ws: WorkbenchSpec, parts: set):
         p.expect("by")
         mtok = p.ident("a map name")
         p.done()
-        known = {q[0] for q in ws.diagram.squares}
+        known = {q[0]: q[1:] for q in ws.diagram.squares}
         for t in (src, tgt):
             if t.text not in known:
                 raise DslError(t.line, t.col, f"unknown square {t.text!r}")
-        ws.diagram.add_square_map(name.text, src.text, tgt.text,
-                                  _get_map(ws, mtok))
+        vmap = _get_map(ws, mtok)
+        cx = ws.diagram.complexes
+        empty = cx[EMPTY_NAME]
+
+        def pieces(square):
+            x, u, v = (cx[c] for c in known[square])
+            ds = subcomplex_union(u, v, ambient=x)
+            return [SimpPair(c, empty) for c in (ds.intersection, u, v, ds.union)]
+        sm = SquareMap(name.text, src.text, tgt.text, vmap)
+        _check_restrictions(mtok, vmap, zip(
+            (sm.eb, sm.ea, sm.ec, sm.ed), pieces(src.text), pieces(tgt.text)))
+        ws.diagram.add_square_map(name.text, src.text, tgt.text, vmap)
         ws.map_names[name.text] = mtok.text
         return
 
@@ -375,11 +399,20 @@ def _parse_statement(p: _Parser, ws: WorkbenchSpec, parts: set):
         p.expect("by")
         mtok = p.ident("a map name")
         p.done()
-        known = {t[0] for t in ws.diagram.triples}
+        known = {t[0]: t[1:] for t in ws.diagram.triples}
         for t in (src, tgt):
             if t.text not in known:
                 raise DslError(t.line, t.col, f"unknown triple {t.text!r}")
-        ws.diagram.add_cube(name.text, src.text, tgt.text, _get_map(ws, mtok))
+        vmap = _get_map(ws, mtok)
+        cx = ws.diagram.complexes
+
+        def pieces(triple):
+            x, y, z = known[triple]
+            return [SimpPair(cx[a], cx[b]) for a, b in ((y, z), (x, z), (x, y))]
+        cube = Cube(name.text, src.text, tgt.text, vmap)
+        _check_restrictions(mtok, vmap, zip(
+            (cube.dia, cube.mid, cube.box), pieces(src.text), pieces(tgt.text)))
+        ws.diagram.add_cube(name.text, src.text, tgt.text, vmap)
         ws.map_names[name.text] = mtok.text
         return
 

@@ -649,18 +649,25 @@ def _with_identity(A: IntMatrix) -> list:
     return rows
 
 
-def kernel(A: IntMatrix) -> IntMatrix:
+def kernel(A: IntMatrix, L: Optional[IntMatrix] = None) -> IntMatrix:
     """Matrix whose columns are the canonical basis of the integer kernel
-    of A: its reduced column Hermite form, as `lattice_basis` gives it.
+    of A, or, given L, of {x : A x lies in the column lattice of L}: its
+    reduced column Hermite form, as `lattice_basis` gives it.
 
-    One Hermite elimination of [Aᵀ | I] (Cohen, GTM 138, §2.4): a row
-    combination x of it is (A x, x), so the rows of the form whose pivot
-    lies in the I block are the (0, x) with A x = 0, and reduced among
-    themselves they are the reduced form of ker A.
+    One Hermite elimination of the rows [Aᵀ | I] and [Lᵀ | 0] (Cohen, GTM
+    138, §2.4): a row combination of them is (A x + L y, x), so the rows
+    of the form whose pivot lies in the I block are the (0, x) with A x
+    in the lattice of L, and reduced among themselves they are the
+    reduced form of that lattice.  L's coordinates get no identity block.
     """
     m, n = A.rows, A.cols
+    rows = _with_identity(A)
+    if L is not None:
+        if L.rows != m:
+            raise ValueError("target lattice in wrong ambient rank")
+        rows += [_sparse(col) for col in L.columns()]
     cols = [{k - m: e for k, e in row.items()}
-            for row in _hermite(_with_identity(A), m).values()]
+            for row in _hermite(rows, m).values()]
     return IntMatrix._of(_dense_rows(cols, n), len(cols), n).transpose()
 
 
@@ -688,19 +695,9 @@ def same_lattice(A: IntMatrix, B: IntMatrix) -> bool:
 
 
 def preimage_lattice(M: IntMatrix, L: IntMatrix) -> IntMatrix:
-    """Canonical basis of {x : M x lies in the column lattice of L}.
-
-    That lattice is the projection of ker [M | L] onto its first M.cols
-    coordinates.  The canonical kernel basis is in echelon form, so the
-    columns with a nonzero entry there come first, and cut to those
-    coordinates they are already the reduced form of the projection.
-    """
-    if M.rows != L.rows:
-        raise ValueError("target lattice in wrong ambient rank")
-    K = kernel(hstack([M, L]))
-    a = M.cols
-    k = sum(1 for col in K.columns() if any(col[:a]))
-    return IntMatrix._of(tuple(row[:k] for row in K.data[:a]), a, k)
+    """Canonical basis of {x : M x lies in the column lattice of L}: the
+    kernel of M relative to L (see `kernel`)."""
+    return kernel(M, L)
 
 
 def unimodular_inverse(M: IntMatrix) -> IntMatrix:

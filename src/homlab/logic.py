@@ -17,7 +17,7 @@ routes up instance by instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import and_, eq, gt, itemgetter, not_, or_
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .fga import CanonicalForm, GroupHom, composite_is_zero, hom_concat, hom_stack, kernel_in_image
@@ -586,55 +586,144 @@ class _Compiler:
 
     A slot holds a carrier position.  Context variables take slots 0..k-1
     in context order; each existential takes a fresh slot after those.
+    The axis is the last context slot that either formula mentions (None
+    if neither mentions one).  A node that mentions the axis compiles to a
+    vector closure, which returns a list with the node's value at each
+    position of the axis carrier; so the formulas at the last depth are
+    evaluated once per binding of the slots above the axis, over all its
+    positions.  Every other node compiles to a scalar closure, evaluated
+    once per binding of its own variables.  `term` returns (closure,
+    sort, is_vector) and `formula` returns (closure, is_vector).
+
+    A vector formula closure takes (env, settled), where settled marks the
+    positions whose value no longer matters, and may be true there
+    whatever the formula says.  An `Exists` starts from settled and stops
+    once every position is settled or has a witness, and its body is
+    told which positions have one.  So, as on the scalar path, witnesses
+    are searched for only where the antecedent holds.
     """
 
-    def __init__(self, st: FiniteStructure, nslots: int):
+    def __init__(self, st: FiniteStructure, nslots: int, axis: Optional[int],
+                 size: int):
         self.st = st
         self.nslots = nslots
+        self.axis = axis
+        positions = list(range(size))
+        self.axis_var = lambda env: positions
+        self.every = [True] * size
+        self.none = [False] * size
 
-    def term(self, term, slots) -> Tuple[Callable, str]:
+    def _mapped(self, table, a) -> Callable:
+        """The vector closure of table[arg], given that of arg."""
+        if a is self.axis_var:
+            return lambda env: table
+        return lambda env: list(map(table.__getitem__, a(env)))
+
+    def term(self, term, slots) -> Tuple[Callable, str, bool]:
         st = self.st
         if isinstance(term, Var):
             slot, sort = slots[term.name]
-            return itemgetter(slot), sort
+            if slot == self.axis:
+                return self.axis_var, sort, True
+            return itemgetter(slot), sort, False
         if isinstance(term, Zero):
             zero = st.index[term.sort][(0,) * len(st.moduli[term.sort])]
-            return (lambda env: zero), term.sort
+            return (lambda env: zero), term.sort, False
         if isinstance(term, Add):
-            a, sort = self.term(term.left, slots)
-            b, _ = self.term(term.right, slots)
+            a, sort, av = self.term(term.left, slots)
+            b, _, bv = self.term(term.right, slots)
             sums = st.sum_table(sort)
-            return (lambda env: sums[a(env)][b(env)]), sort
+            if not (av or bv):
+                return (lambda env: sums[a(env)][b(env)]), sort, False
+            if not bv or a is self.axis_var:
+                # the table is symmetric (coordinatewise addition), so the
+                # operands may swap: b is a vector, the axis if either is
+                a, av, b = b, bv, a
+            if b is self.axis_var:
+                if av:      # sums[a[i]][i] = sums[i][a[i]]
+                    add = lambda env: list(map(list.__getitem__, sums, a(env)))
+                else:
+                    add = lambda env: sums[a(env)]
+            elif av:
+                add = lambda env: list(map(list.__getitem__,
+                                           map(sums.__getitem__, a(env)), b(env)))
+            else:
+                add = lambda env: list(map(sums[a(env)].__getitem__, b(env)))
+            return add, sort, True
         if isinstance(term, Neg):
-            a, sort = self.term(term.arg, slots)
+            a, sort, av = self.term(term.arg, slots)
             negation = st.negation[sort]
-            return (lambda env: negation[a(env)]), sort
+            if av:
+                return self._mapped(negation, a), sort, True
+            return (lambda env: negation[a(env)]), sort, False
         if isinstance(term, App):
-            a, _ = self.term(term.arg, slots)
+            a, _, av = self.term(term.arg, slots)
             src, tgt = st.func_sorts[term.func]
             table, index = st.tables[term.func], st.index[tgt]
             # read from the table now, so edits after export are seen
             images = [index[table[e]] for e in st.carriers[src]]
-            return (lambda env: images[a(env)]), tgt
+            if av:
+                return self._mapped(images, a), tgt, True
+            return (lambda env: images[a(env)]), tgt, False
         raise TypeError(f"not a term: {term!r}")
 
-    def formula(self, formula, slots) -> Callable:
+    def formula(self, formula, slots) -> Tuple[Callable, bool]:
         if isinstance(formula, Top):
-            return lambda env: True
+            return (lambda env: True), False
         if isinstance(formula, Eq):
-            a, _ = self.term(formula.left, slots)
-            b, _ = self.term(formula.right, slots)
-            return lambda env: a(env) == b(env)
+            a, _, av = self.term(formula.left, slots)
+            b, _, bv = self.term(formula.right, slots)
+            if not (av or bv):
+                return (lambda env: a(env) == b(env)), False
+            every = self.every
+            if av and bv:
+                def eq_each(env, settled):
+                    x, y = a(env), b(env)
+                    if x == y:
+                        return every
+                    return list(map(eq, x, y))
+                return eq_each, True
+            scalar, vector = (b, a) if av else (a, b)
+            size = len(every)
+
+            def eq_scalar(env, settled):
+                x, y = scalar(env), vector(env)
+                if y.count(x) == size:
+                    return every
+                return [x == e for e in y]
+            return eq_scalar, True
         if isinstance(formula, And):
-            a = self.formula(formula.left, slots)
-            b = self.formula(formula.right, slots)
-            return lambda env: a(env) and b(env)
+            a, av = self.formula(formula.left, slots)
+            b, bv = self.formula(formula.right, slots)
+            if not (av or bv):
+                return (lambda env: a(env) and b(env)), False
+            if av and bv:
+                def both(env, settled):
+                    x = a(env, settled)
+                    if True not in x:
+                        return x
+                    return list(map(and_, x, b(env, settled)))
+                return both, True
+            scalar, vector = (b, a) if av else (a, b)
+            none = self.none
+            return (lambda env, settled: vector(env, settled) if scalar(env)
+                    else none), True
         if isinstance(formula, Exists):
             slot = self.nslots
             self.nslots += 1
-            body = self.formula(formula.body,
-                                {**slots, formula.var: (slot, formula.sort)})
+            body, bv = self.formula(formula.body,
+                                    {**slots, formula.var: (slot, formula.sort)})
             positions = range(len(self.st.carriers[formula.sort]))
+            if bv:
+                def exists_each(env, settled):
+                    hit = settled
+                    for i in positions:
+                        if False not in hit:
+                            break
+                        env[slot] = i
+                        hit = list(map(or_, hit, body(env, hit)))
+                    return hit
+                return exists_each, True
 
             def exists(env):
                 for i in positions:
@@ -642,20 +731,21 @@ class _Compiler:
                     if body(env):
                         return True
                 return False
-            return exists
+            return exists, False
         raise TypeError(f"not a formula: {formula!r}")
 
 
-def _free_vars(node) -> set:
+def _depth(node, slots) -> int:
+    """One more than the last context slot that node mentions, 0 if none."""
     if isinstance(node, Var):
-        return {node.name}
+        return slots[node.name][0] + 1
     if isinstance(node, Exists):
-        return _free_vars(node.body) - {node.var}
+        return _depth(node.body, {**slots, node.var: (-1, node.sort)})
     if isinstance(node, (Add, Eq, And)):
-        return _free_vars(node.left) | _free_vars(node.right)
+        return max(_depth(node.left, slots), _depth(node.right, slots))
     if isinstance(node, (Neg, App)):
-        return _free_vars(node.arg)
-    return set()
+        return _depth(node.arg, slots)
+    return 0
 
 
 def _level(slot, positions, ante, cons, inner) -> Callable:
@@ -664,15 +754,8 @@ def _level(slot, positions, ante, cons, inner) -> Callable:
 
     `ante` and `cons` are the formulas whose variables are all bound at
     this depth and are tested here (None if not); `inner` searches the
-    next slot, or is None at the depth where both formulas are decided.
+    next slot.
     """
-    if inner is None:
-        if ante is None:
-            return lambda env: not cons(env)
-        if cons is None:
-            return ante
-        return lambda env: ante(env) and not cons(env)
-
     def search(env):
         if ante is not None and not ante(env):
             return False
@@ -686,6 +769,47 @@ def _level(slot, positions, ante, cons, inner) -> Callable:
     return search
 
 
+def _last_level(slot, ante, cons, vante, vcons, none) -> Callable:
+    """The search of the axis slot.  Like `_level`, it first tests the
+    scalar formulas `ante` and `cons` of its depth; `vante` and `vcons`
+    are the vector closures of the formulas that mention the axis (one at
+    least is not None), and the first counterexample is the first
+    position where the antecedent holds and the consequent fails.  The
+    consequent is told that the positions where the antecedent fails are
+    settled; `none` settles no position.
+    """
+    if vante is None:
+        def first(env):
+            v = vcons(env, none)
+            return v.index(False) if False in v else -1
+    elif vcons is None:
+        def first(env):
+            v = vante(env, none)
+            return v.index(True) if True in v else -1
+    else:
+        def first(env):
+            v = vante(env, none)
+            if True not in v:
+                return -1
+            c = vcons(env, list(map(not_, v)))
+            if False not in c:
+                return -1
+            v = list(map(gt, v, c))
+            return v.index(True) if True in v else -1
+
+    def search(env):
+        if ante is not None and not ante(env):
+            return False
+        if cons is not None and cons(env):
+            return False
+        i = first(env)
+        if i < 0:
+            return False
+        env[slot] = i
+        return True
+    return search
+
+
 def eval_sequent(st: FiniteStructure, seq: Sequent) -> EvalResult:
     """Exhaustive check over every assignment of the context; on failure
     the first counterexample in carrier product order, as {variable:
@@ -693,29 +817,40 @@ def eval_sequent(st: FiniteStructure, seq: Sequent) -> EvalResult:
 
     The sequent is compiled once per call into closures on carrier
     positions; function symbols are read from `st.tables` at each call.
-    The context is searched as nested loops in its declared order, and the
-    antecedent and the consequent are each evaluated once per binding of
-    the context variables up to the last one they mention.  A subtree is
-    skipped where the antecedent is false or the consequent true; where
-    the consequent is false, the search descends to the first extension
-    whose antecedent holds, and variables bound below both formulas take
-    their carrier's first element.  So every assignment is accounted for.
+    The context is searched as nested loops in its declared order down to
+    the axis, the last context variable that either formula mentions.
+    The formulas at that last depth are evaluated once per binding of the
+    slots above the axis, over all the axis positions at once; each other
+    formula is still evaluated once per binding of its own variables,
+    at the depth of the last one it mentions.  A subtree is skipped where
+    the antecedent is false or the consequent true; where the consequent
+    is false, the search goes on to the first extension whose antecedent
+    holds, and variables bound below both formulas take their carrier's
+    first element.  So every assignment is accounted for.
     """
     if any(not st.carriers[s] for _, s in seq.context):
         return EvalResult(True)     # no assignment at all
     slots = {v: (i, s) for i, (v, s) in enumerate(seq.context)}
-    compiler = _Compiler(st, len(slots))
-    ante = compiler.formula(seq.antecedent, slots)
-    cons = compiler.formula(seq.consequent, slots)
-    ante_depth, cons_depth = (
-        max((slots[v][0] + 1 for v in _free_vars(f)), default=0)
-        for f in (seq.antecedent, seq.consequent))
+    ante_depth = _depth(seq.antecedent, slots)
+    cons_depth = _depth(seq.consequent, slots)
     top = max(ante_depth, cons_depth)
-    search = None
-    for d in range(top, -1, -1):
-        positions = range(len(st.carriers[seq.context[d][1]])) if d < top else None
-        search = _level(d, positions, ante if d == ante_depth else None,
-                        cons if d == cons_depth else None, search)
+    axis = top - 1 if top else None
+    compiler = _Compiler(st, len(slots), axis,
+                         len(st.carriers[seq.context[axis][1]]) if top else 0)
+    ante, _ = compiler.formula(seq.antecedent, slots)
+    cons, _ = compiler.formula(seq.consequent, slots)
+    if top:
+        search = _last_level(axis, ante if ante_depth == axis else None,
+                             cons if cons_depth == axis else None,
+                             ante if ante_depth == top else None,
+                             cons if cons_depth == top else None, compiler.none)
+        for d in range(axis - 1, -1, -1):
+            search = _level(d, range(len(st.carriers[seq.context[d][1]])),
+                            ante if ante_depth == d else None,
+                            cons if cons_depth == d else None, search)
+    else:
+        def search(env):
+            return ante(env) and not cons(env)
     env = [0] * compiler.nslots
     if not search(env):
         return EvalResult(True)

@@ -5,9 +5,12 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from homlab.cli import main
 
 from oracles import frac_rank, quotient_invariants
+from test_dsl import CUBE_MISSES_A_VERTEX, SQUAREMAP_NOT_SIMPLICIAL
 
 CIRCLE = "complex S1 = {01, 12, 02}\nfiltration F on S1 = skeletal\ncellular F\n"
 POINT_SEQ = ("complex P = {v}\n"
@@ -316,3 +319,18 @@ def test_module_entry(tmp_path):
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ok"] is True
     assert "elapsed" in proc.stderr
+
+
+@pytest.mark.parametrize("text, where", [
+    (CUBE_MISSES_A_VERTEX, "line 5, column 20"),
+    (SQUAREMAP_NOT_SIMPLICIAL, "line 6, column 25"),
+], ids=["cube", "squaremap"])
+def test_bad_cube_and_square_maps_exit_two(tmp_path, text, where):
+    src = tmp_path / "in.hwb"
+    src.write_text(text)
+    proc = subprocess.run([sys.executable, "-m", "homlab.cli", str(src),
+                           "--coeff", "Zmod2"], capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith(f"error: {where}: map ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr

@@ -80,6 +80,38 @@ def test_nonsimplicial_edge_map_is_located():
     assert "not simplicial" in str(err)
 
 
+# a cube whose map misses vertex b of the source triple's pieces, and a
+# square map that is not simplicial on the piece U (it sends ab to ac)
+CUBE_MISSES_A_VERTEX = ("complex X = {ab, bc}\n"
+                        "complex Y = {ab}\n"
+                        "map i = {a:a}\n"
+                        "triple t : X / Y\n"
+                        "cube c : t -> t by i\n"
+                        "validate\n")
+SQUAREMAP_NOT_SIMPLICIAL = ("complex S = {ab, bc, ca}\n"
+                            "complex U = {ab, bc}\n"
+                            "complex V = {ca}\n"
+                            "map m = {a:a, b:c, c:c}\n"
+                            "square q : U + V in S\n"
+                            "squaremap s : q -> q by m\n"
+                            "validate\n")
+
+
+def test_cube_map_is_checked_on_each_piece():
+    err = _parse_error(CUBE_MISSES_A_VERTEX)
+    assert (err.line, err.col) == (5, 20)
+    assert "map 'c.dia' leaves vertex 'b' unmapped" in str(err)
+
+
+def test_square_map_is_checked_on_each_piece():
+    err = _parse_error(SQUAREMAP_NOT_SIMPLICIAL)
+    assert (err.line, err.col) == (6, 25)
+    assert "map 's.a' is not simplicial" in str(err)
+    err = _parse_error(SQUAREMAP_NOT_SIMPLICIAL.replace("c:c", "c:d"))
+    assert (err.line, err.col) == (6, 25)
+    assert "map 's.b' sends 'c' to unknown vertex 'd'" in str(err)
+
+
 def test_filtration_dimension_violation_is_located():
     err = _parse_error("complex X = {ab}\n"
                        "filtration F on X = [X]\n"

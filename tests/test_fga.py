@@ -630,6 +630,16 @@ def test_preimage_lattice_matches_reference():
             P = preimage_lattice(M, L)
             assert P == reference_preimage_lattice(M, L)
             assert P.rows == n
+    # L with no columns, L with more columns than its rank (at most 2 of
+    # 5), and M with no columns
+    mix = IntMatrix([[1, 2, -1], [0, 3, 2]])
+    for m, n in shapes(rng, 10, 6):
+        B = sparse_matrix(rng, m, 2, 1.0, 3)
+        for L in (IntMatrix.zeros(m, 0), hstack([B, B @ mix])):
+            for M in (sparse_matrix(rng, m, n, 0.3, 4), IntMatrix.zeros(m, 0)):
+                P = preimage_lattice(M, L)
+                assert P == reference_preimage_lattice(M, L)
+                assert P.rows == M.cols
 
 
 def smith_invariants(R):

@@ -399,3 +399,74 @@ def test_compiled_evaluator_matches_reference(modulus):
             checked += len(sequents)
     assert checked > 600
     assert invalid > 100
+
+
+# -- the vector path of the last search level ---------------------------------
+
+
+def vector_path_sequents(s, f, one):
+    """Sequents over sort s, f an endomorphism of s and `one` a sort of one
+    element.  The axis is y (or u): the terms below take every scalar and
+    vector form of `Add`, `Neg` and `App`, the axis variable itself among
+    them, and the formulas every mix of scalar and vector parts of `Eq`,
+    `And` and `Exists`, with the axis level holding only an antecedent,
+    only a consequent, or both."""
+    x, y, u, w, v = Var("x"), Var("y"), Var("u"), Var("w"), Var("v")
+    scalars = [x, App(f, x), Neg(x), Add(x, App(f, x)), Zero(s)]
+    vectors = [y, App(f, y), Neg(y), App(f, Add(x, y)), Neg(App(f, y)),
+               Add(x, y), Add(y, x), Add(y, y), Add(App(f, y), y),
+               Add(y, App(f, y)), Add(Neg(y), App(f, x)),
+               Add(App(f, x), Neg(y)), Add(App(f, y), Neg(y))]
+    xy = (("x", s), ("y", s))
+    fixed = Eq(App(f, x), x)                     # scalar, at depth 1
+    out = [Sequent(xy, Top(), Eq(a, b))
+           for a in vectors for b in vectors + scalars]
+    out += [Sequent(xy, Top(), Eq(a, b)) for a in scalars for b in vectors]
+    for a, b in zip(vectors, vectors[3:] + scalars):
+        out += [Sequent(xy, Eq(a, b), fixed),    # antecedent only
+                Sequent(xy, fixed, Eq(a, b)),    # consequent only
+                Sequent(xy, Eq(a, b), Eq(b, App(f, a))),
+                Sequent(xy + (("z", s),), Eq(a, Zero(s)), Eq(b, Neg(a)))]
+    vec, vec2, sca = Eq(App(f, y), y), Eq(Add(y, y), x), fixed
+    for ante, cons in ((Top(), And(vec, vec2)), (Top(), And(sca, vec)),
+                       (Top(), And(vec, sca)), (And(vec, vec2), sca),
+                       (And(sca, vec2), vec), (vec2, And(vec, sca))):
+        out.append(Sequent(xy, ante, cons))
+    exists = [
+        Exists("w", s, Eq(Add(w, y), x)),        # every y has a witness
+        Exists("w", s, Eq(App(f, w), y)),        # the image of f
+        Exists("w", s, Eq(App(f, w), Add(x, y))),
+        Exists("w", s, And(Eq(App(f, w), x), Eq(w, y))),
+        Exists("w", s, Exists("v", s, Eq(Add(w, App(f, v)), y))),
+        And(Exists("w", s, Eq(App(f, w), x)), Eq(y, App(f, y))),
+    ]
+    for e in exists:
+        out += [Sequent(xy, Top(), e), Sequent(xy, Eq(App(f, y), y), e),
+                Sequent(xy, fixed, e)]
+    # an axis carrier of one element
+    xu = (("x", s), ("u", one))
+    for cons in (Eq(Add(u, u), Neg(u)), Eq(u, Zero(one)),
+                 Exists("w", one, Eq(Add(w, u), u)),
+                 And(fixed, Eq(Add(u, u), u))):
+        out += [Sequent(xu, Top(), cons), Sequent(xu, fixed, cons),
+                Sequent(xu, Eq(u, Add(u, u)), fixed)]
+    return out
+
+
+@pytest.mark.parametrize("modulus", [2, 3])
+def test_vector_path_matches_reference(modulus):
+    diagram = cycle_diagram()
+    model = HomologyModel(diagram, modulus=modulus, window=(0, 1))
+    sig = generate_signature(diagram, (0, 1))
+    sequents = vector_path_sequents("h1(C,A)", "e@1", "h0(C,A)")
+    rng = random.Random(3000 + modulus)
+    invalid = []
+    for tampered in (False, True):
+        st = export_finite_structure(model, sig)
+        assert len(st.carriers["h0(C,A)"]) == 1
+        if tampered:
+            _tamper(st, rng)
+        invalid.append(_assert_matches_reference(st, sig, sequents))
+    # both outcomes occur often, and tampering breaks more sequents
+    assert invalid[0] > 100 and len(sequents) - invalid[0] > 50
+    assert invalid[1] > invalid[0]
