@@ -15,7 +15,10 @@ sha256 of the summary as sorted JSON.
 Enumeration rungs time `validate --flavor core,homotopy,cd` through
 `homlab.cli.main`, whose cost is the brute-force sequent enumeration:
 the 4-cycle diagram at Z/11 and Z/13 and the 3-edge circle at Z/97.
-Each line ends with the first 16 hex digits of the sha256 of the report.
+The end-algebra rung times `end-algebra` through `homlab.cli.main` on
+the 3 x 3 torus diagram at Z, whose cost is one relative kernel and the
+Smith forms of its presentation.  Each of these lines ends with the first
+16 hex digits of the sha256 of the report.
 
 So two checkouts can be compared for identical results as well as for
 time.
@@ -61,6 +64,8 @@ COMPLEXES = {
 }
 MODULI = {"Z": 0, "Z2": 2}
 
+VALIDATE_FLAGS = ["--flavor", "core,homotopy,cd"]
+
 # the 4-cycle abcd with A = {b, d} and P = {b}; f swaps a and c, g turns
 # the cycle by one step
 CYCLE4 = """complex C = {ab, bc, cd, ad}
@@ -78,10 +83,29 @@ CIRCLE3 = """complex S = {ab, bc, ac}
 pair S
 validate
 """
-ENUMERATION = {
-    "cycle4/Zmod11": (CYCLE4, "Zmod11"),
-    "cycle4/Zmod13": (CYCLE4, "Zmod13"),
-    "circle3/Zmod97": (CIRCLE3, "Zmod97"),
+# the 3 x 3 torus T (vertex i * 3 + j at (i, j)) with the circle A at
+# i = 0 and the point P; s shifts j by one, r sends (i, j) to (-i, -j)
+TORUS3 = """complex T = {034, 014, 145, 125, 235, 023, 367, 347, 478, 458, 568, 356, 016, 167, 127, 278, 028, 068}
+complex A = {01, 12, 02}
+complex P = {0}
+map s = {0:1, 1:2, 2:0, 3:4, 4:5, 5:3, 6:7, 7:8, 8:6}
+map r = {0:0, 1:2, 2:1, 3:6, 4:8, 5:7, 6:3, 7:5, 8:4}
+pair T / A
+pair A / P
+edge e : T / A -> T / A by s
+edge f : T / P -> T / P by r
+triple t : T / A / P
+cube c : t -> t by r
+prism A / P
+end-algebra
+"""
+
+# rung name -> (text, extra CLI flags)
+CLI_RUNGS = {
+    "cycle4/Zmod11": (CYCLE4, ["--coeff", "Zmod11", *VALIDATE_FLAGS]),
+    "cycle4/Zmod13": (CYCLE4, ["--coeff", "Zmod13", *VALIDATE_FLAGS]),
+    "circle3/Zmod97": (CIRCLE3, ["--coeff", "Zmod97", *VALIDATE_FLAGS]),
+    "end-algebra/torus3/Z": (TORUS3, []),
 }
 
 
@@ -101,25 +125,24 @@ def run_rung(name: str, modulus: int, facets: list) -> dict:
             "digest": digest.hexdigest()[:16]}
 
 
-def run_validate(name: str, text: str, coeff: str) -> dict:
+def run_cli(name: str, text: str, flags: list) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         src, out = Path(tmp) / "in.hwb", Path(tmp) / "out.json"
         src.write_text(text)
         t0 = time.perf_counter()
         with contextlib.redirect_stderr(io.StringIO()):   # the elapsed line
-            rc = cli_main([str(src), "--coeff", coeff, "--out", str(out),
-                           "--flavor", "core,homotopy,cd"])
+            rc = cli_main([str(src), "--out", str(out), *flags])
         t1 = time.perf_counter()
         digest = hashlib.sha256(out.read_bytes())
-    return {"rung": name, "exit": rc, "validate_s": round(t1 - t0, 3),
+    return {"rung": name, "exit": rc, "cli_s": round(t1 - t0, 3),
             "digest": digest.hexdigest()[:16]}
 
 
 def main(argv: list) -> int:
     rungs = {f"{c}/{m}": lambda c=c, m=m: run_rung(f"{c}/{m}", MODULI[m], COMPLEXES[c]())
              for c in COMPLEXES for m in MODULI}
-    rungs.update({name: lambda name=name: run_validate(name, *ENUMERATION[name])
-                  for name in ENUMERATION})
+    rungs.update({name: lambda name=name: run_cli(name, *CLI_RUNGS[name])
+                  for name in CLI_RUNGS})
     unknown = set(argv) - set(rungs)
     if unknown:
         print(f"unknown rungs: {sorted(unknown)}", file=sys.stderr)

@@ -3,8 +3,9 @@
 One statement per line, comments from `#` to the end of the line.
 Declarations build complexes, vertex maps, diagram parts, filtrations and
 named sequents; exactly one command statement picks what to run.  Cross
-references resolve while parsing, so every error carries the line and
-column it came from.
+references resolve while parsing, and each diagram statement goes
+through the diagram builder's own checks (`simp.DiagramAssembly`) as it
+is read, so every error carries the line and column it came from.
 
     complex S1 = {01, 12, 02}
     filtration F on S1 = skeletal
@@ -32,14 +33,11 @@ from .logic import (
 )
 from .simp import (
     EMPTY_NAME,
-    Cube,
+    DiagramAssembly,
     DiagramBuilder,
     Filtration,
-    PairMorphism,
     SimpPair,
     SimplicialComplex,
-    SquareMap,
-    subcomplex_union,
 )
 
 
@@ -96,7 +94,9 @@ def tokenize(text: str) -> List[List[Token]]:
 
 @dataclass
 class WorkbenchSpec:
-    """Everything a run needs, fully cross-checked at parse time.
+    """Everything a run needs, fully cross-checked at parse time: each
+    diagram declaration has passed the checks `DiagramAssembly` runs when
+    the diagram is built.
 
     `diagram` holds the complexes and diagram declarations in file order;
     `map_names` gives the map each edge, square map and cube was declared
@@ -161,16 +161,18 @@ def parse(text: str) -> WorkbenchSpec:
     # names of diagram parts (edges, triples, squares, square maps, cubes),
     # which share one namespace apart from the complexes
     parts = set()
+    # the diagram so far, with the complexes and edges it generated
+    asm = DiagramAssembly(ws.diagram.complexes)
     for row in rows:
-        _parse_statement(_Parser(row), ws, parts)
+        _parse_statement(_Parser(row), ws, parts, asm)
     if ws.command is None:
         last = rows[-1][-1].line if rows else 1
         raise DslError(last, 1, "no command statement")
     return ws
 
 
-def _claim_complex(ws, tok):
-    if tok.text in ws.diagram.complexes:
+def _claim_complex(asm, tok):
+    if tok.text in asm.complexes:
         if tok.text == EMPTY_NAME:
             msg = "0 names the empty complex and cannot be redeclared"
         else:
@@ -213,16 +215,12 @@ def _pair_ref(p: _Parser, ws) -> Tuple[str, str]:
     return total.text, sub.text
 
 
-def _check_restrictions(mtok: Token, vmap: Dict[str, str], pieces) -> None:
-    """The map restricted to each piece's source, as the diagram builds
-    it, must be a map of pairs: pieces are (edge name, source pair,
-    target pair).  Errors point at the map token."""
-    for name, src, tgt in pieces:
-        restricted = {v: vmap[v] for v in src.total.vertices if v in vmap}
-        try:
-            PairMorphism(name, src, tgt, restricted)
-        except ValueError as exc:
-            raise DslError(mtok.line, mtok.col, str(exc))
+def _assemble(tok: Token, step, *args) -> None:
+    """Run one DiagramAssembly step; its ValueError is located at tok."""
+    try:
+        step(*args)
+    except ValueError as exc:
+        raise DslError(tok.line, tok.col, str(exc))
 
 
 def _vertex(p: _Parser) -> Token:
@@ -232,13 +230,14 @@ def _vertex(p: _Parser) -> Token:
     return tok
 
 
-def _parse_statement(p: _Parser, ws: WorkbenchSpec, parts: set):
+def _parse_statement(p: _Parser, ws: WorkbenchSpec, parts: set,
+                     asm: DiagramAssembly):
     head = p.ident("a statement keyword")
     word = head.text
 
     if word == "complex":
         name = p.ident("a complex name")
-        _claim_complex(ws, name)
+        _claim_complex(asm, name)
         p.expect("=")
         p.expect("{")
         simplices = []
@@ -258,8 +257,9 @@ def _parse_statement(p: _Parser, ws: WorkbenchSpec, parts: set):
             if tok.text != ",":
                 p.error("expected ',' or '}'", tok)
         p.done()
-        ws.diagram.add_complex(
-            name.text, SimplicialComplex.from_maximal_simplices(simplices))
+        cx = SimplicialComplex.from_maximal_simplices(simplices)
+        ws.diagram.add_complex(name.text, cx)
+        asm.complexes[name.text] = cx
         return
 
     if word == "map":
@@ -290,13 +290,17 @@ def _parse_statement(p: _Parser, ws: WorkbenchSpec, parts: set):
         return
 
     if word == "pair":
-        ws.diagram.add_pair(*_pair_ref(p, ws))
+        pair = _pair_ref(p, ws)
         p.done()
+        ws.diagram.add_pair(*pair)
+        asm.pair(*pair)
         return
 
     if word == "prism":
-        ws.diagram.add_prism(*_pair_ref(p, ws))
+        pair = _pair_ref(p, ws)
         p.done()
+        ws.diagram.add_prism(*pair)
+        asm.prism(*pair)
         return
 
     if word == "edge":
@@ -310,13 +314,8 @@ def _parse_statement(p: _Parser, ws: WorkbenchSpec, parts: set):
         mtok = p.ident("a map name")
         vmap = _get_map(ws, mtok)
         p.done()
-        cx = ws.diagram.complexes
-        try:
-            PairMorphism(name.text, SimpPair(cx[src[0]], cx[src[1]]),
-                         SimpPair(cx[tgt[0]], cx[tgt[1]]), vmap)
-        except ValueError as exc:
-            raise DslError(mtok.line, mtok.col, str(exc))
         ws.diagram.add_edge(name.text, src, tgt, vmap)
+        _assemble(mtok, asm.edge, name.text, src, tgt, vmap)
         ws.map_names[name.text] = mtok.text
         return
 
@@ -332,14 +331,10 @@ def _parse_statement(p: _Parser, ws: WorkbenchSpec, parts: set):
             p.expect("/")
             z = p.ident("a complex name")
         p.done()
-        xc = _get_complex(ws, x)
-        yc = _get_complex(ws, y)
-        zc = _get_complex(ws, z)
-        if not (zc.is_subcomplex_of(yc) and yc.is_subcomplex_of(xc)):
-            raise DslError(name.line, name.col,
-                           f"triple {name.text!r} is not a chain of "
-                           "subcomplexes")
+        for t in (x, y, z):
+            _get_complex(ws, t)
         ws.diagram.add_triple(name.text, x.text, y.text, z.text)
+        _assemble(name, asm.triple, name.text, x.text, y.text, z.text)
         return
 
     if word == "square":
@@ -352,12 +347,10 @@ def _parse_statement(p: _Parser, ws: WorkbenchSpec, parts: set):
         p.expect("in")
         x = p.ident("a complex name")
         p.done()
-        try:
-            subcomplex_union(_get_complex(ws, u), _get_complex(ws, v),
-                             ambient=_get_complex(ws, x))
-        except ValueError as exc:
-            raise DslError(name.line, name.col, str(exc))
+        for t in (u, v, x):
+            _get_complex(ws, t)
         ws.diagram.add_square(name.text, x.text, u.text, v.text)
+        _assemble(name, asm.square, name.text, x.text, u.text, v.text)
         return
 
     if word == "squaremap":
@@ -370,22 +363,12 @@ def _parse_statement(p: _Parser, ws: WorkbenchSpec, parts: set):
         p.expect("by")
         mtok = p.ident("a map name")
         p.done()
-        known = {q[0]: q[1:] for q in ws.diagram.squares}
         for t in (src, tgt):
-            if t.text not in known:
+            if t.text not in asm.squares:
                 raise DslError(t.line, t.col, f"unknown square {t.text!r}")
         vmap = _get_map(ws, mtok)
-        cx = ws.diagram.complexes
-        empty = cx[EMPTY_NAME]
-
-        def pieces(square):
-            x, u, v = (cx[c] for c in known[square])
-            ds = subcomplex_union(u, v, ambient=x)
-            return [SimpPair(c, empty) for c in (ds.intersection, u, v, ds.union)]
-        sm = SquareMap(name.text, src.text, tgt.text, vmap)
-        _check_restrictions(mtok, vmap, zip(
-            (sm.eb, sm.ea, sm.ec, sm.ed), pieces(src.text), pieces(tgt.text)))
         ws.diagram.add_square_map(name.text, src.text, tgt.text, vmap)
+        _assemble(mtok, asm.square_map, name.text, src.text, tgt.text, vmap)
         ws.map_names[name.text] = mtok.text
         return
 
@@ -399,20 +382,12 @@ def _parse_statement(p: _Parser, ws: WorkbenchSpec, parts: set):
         p.expect("by")
         mtok = p.ident("a map name")
         p.done()
-        known = {t[0]: t[1:] for t in ws.diagram.triples}
         for t in (src, tgt):
-            if t.text not in known:
+            if t.text not in asm.triples:
                 raise DslError(t.line, t.col, f"unknown triple {t.text!r}")
         vmap = _get_map(ws, mtok)
-        cx = ws.diagram.complexes
-
-        def pieces(triple):
-            x, y, z = known[triple]
-            return [SimpPair(cx[a], cx[b]) for a, b in ((y, z), (x, z), (x, y))]
-        cube = Cube(name.text, src.text, tgt.text, vmap)
-        _check_restrictions(mtok, vmap, zip(
-            (cube.dia, cube.mid, cube.box), pieces(src.text), pieces(tgt.text)))
         ws.diagram.add_cube(name.text, src.text, tgt.text, vmap)
+        _assemble(mtok, asm.cube, name.text, src.text, tgt.text, vmap)
         ws.map_names[name.text] = mtok.text
         return
 
@@ -454,7 +429,7 @@ def _parse_statement(p: _Parser, ws: WorkbenchSpec, parts: set):
         if name.text in ws.sequents:
             p.error("sequent name already declared", name)
         p.expect("=")
-        seq = _parse_sequent_body(p, ws)
+        seq = _parse_sequent_body(p, asm.complexes)
         p.done()
         ws.sequents[name.text] = seq
         return
@@ -495,27 +470,14 @@ def _parse_statement(p: _Parser, ws: WorkbenchSpec, parts: set):
 # -- sequents -----------------------------------------------------------------
 
 
-def _known_totals(ws) -> set:
-    """Complex names a sort may mention, including the ones the diagram
-    will synthesize for squares and prisms."""
-    known = set(ws.diagram.complexes)
-    for name, _x, _u, _v in ws.diagram.squares:
-        known.add(f"{name}.b")
-        known.add(f"{name}.d")
-    for total, sub in ws.diagram.prisms:
-        known.add(f"{total}xI")
-        if sub != EMPTY_NAME:
-            known.add(f"{sub}xI")
-    return known
-
-
-def _parse_sort(p: _Parser, ws) -> str:
+def _parse_sort(p: _Parser, known) -> str:
+    """A sort on complexes in `known`: the declared ones and the ones the
+    diagram generated for squares and prisms."""
     tok = p.ident("a sort like h1(X,Y)")
     m = _SORT_RE.fullmatch(tok.text)
     if m is None:
         p.error("expected a sort like h1(X,Y)", tok)
     degree = int(m.group(1))
-    known = _known_totals(ws)
     p.expect("(")
     total = p.ident("a complex name")
     if total.text not in known:
@@ -535,7 +497,7 @@ def _parse_sort(p: _Parser, ws) -> str:
     return f"h{degree}({total.text},{sub})"
 
 
-def _parse_sequent_body(p: _Parser, ws) -> Sequent:
+def _parse_sequent_body(p: _Parser, known) -> Sequent:
     p.expect("[")
     context = []
     bound = set()
@@ -549,7 +511,7 @@ def _parse_sequent_body(p: _Parser, ws) -> Sequent:
             if var.text in bound:
                 p.error("duplicate context variable", var)
             p.expect(":")
-            sort = _parse_sort(p, ws)
+            sort = _parse_sort(p, known)
             context.append((var.text, sort))
             bound.add(var.text)
             tok = p.next("expected ',' or ']'")
@@ -557,21 +519,21 @@ def _parse_sequent_body(p: _Parser, ws) -> Sequent:
                 break
             if tok.text != ",":
                 p.error("expected ',' or ']'", tok)
-    ante = _parse_formula(p, ws, set(bound))
+    ante = _parse_formula(p, known, set(bound))
     p.expect("|-")
-    cons = _parse_formula(p, ws, set(bound))
+    cons = _parse_formula(p, known, set(bound))
     return Sequent(tuple(context), ante, cons)
 
 
-def _parse_formula(p: _Parser, ws, bound: set):
-    left = _parse_atom(p, ws, bound)
+def _parse_formula(p: _Parser, known, bound: set):
+    left = _parse_atom(p, known, bound)
     while not p.at_end() and p.peek().text == "&":
         p.next()
-        left = And(left, _parse_atom(p, ws, bound))
+        left = And(left, _parse_atom(p, known, bound))
     return left
 
 
-def _parse_atom(p: _Parser, ws, bound: set):
+def _parse_atom(p: _Parser, known, bound: set):
     tok = p.peek()
     if tok is None:
         p.error("expected a formula")
@@ -586,35 +548,35 @@ def _parse_atom(p: _Parser, ws, bound: set):
         if var.text in bound:
             p.error("variable shadows an outer binding", var)
         p.expect(":")
-        sort = _parse_sort(p, ws)
+        sort = _parse_sort(p, known)
         p.expect(".")
-        body = _parse_formula(p, ws, bound | {var.text})
+        body = _parse_formula(p, known, bound | {var.text})
         return Exists(var.text, sort, body)
     if tok.text == "(":
         p.next()
-        inner = _parse_formula(p, ws, bound)
+        inner = _parse_formula(p, known, bound)
         p.expect(")")
         return inner
-    lhs = _parse_term(p, ws, bound)
+    lhs = _parse_term(p, known, bound)
     p.expect("=")
-    rhs = _parse_term(p, ws, bound)
+    rhs = _parse_term(p, known, bound)
     return Eq(lhs, rhs)
 
 
-def _parse_term(p: _Parser, ws, bound: set):
-    left = _parse_factor(p, ws, bound)
+def _parse_term(p: _Parser, known, bound: set):
+    left = _parse_factor(p, known, bound)
     while not p.at_end() and p.peek().text == "+":
         p.next()
-        left = Add(left, _parse_factor(p, ws, bound))
+        left = Add(left, _parse_factor(p, known, bound))
     return left
 
 
-def _parse_factor(p: _Parser, ws, bound: set):
+def _parse_factor(p: _Parser, known, bound: set):
     tok = p.next("expected a term")
     if tok.text == "-" and tok.kind == "OP":
-        return Neg(_parse_factor(p, ws, bound))
+        return Neg(_parse_factor(p, known, bound))
     if tok.text == "(":
-        inner = _parse_term(p, ws, bound)
+        inner = _parse_term(p, known, bound)
         p.expect(")")
         return inner
     if tok.kind == "QUOTED" or (tok.kind == "IDENT"
@@ -626,7 +588,7 @@ def _parse_factor(p: _Parser, ws, bound: set):
         if not deg.text.isdigit():
             p.error("expected a degree", deg)
         p.expect("(")
-        arg = _parse_term(p, ws, bound)
+        arg = _parse_term(p, known, bound)
         p.expect(")")
         return App(f"{name}@{int(deg.text)}", arg)
     if tok.kind != "IDENT":

@@ -19,6 +19,7 @@ from .fga import (
     GroupHom,
     IntMatrix,
     QuotientExpresser,
+    block_diag,
     kernel,
     lattice_basis,
     present_subquotient,
@@ -208,10 +209,11 @@ class EndAlgebra:
 def end_algebra(T: Representation, F: Optional[Subdiagram] = None) -> EndAlgebra:
     """Commutant of T over F with its multiplication table.
 
-    Unknowns are the entries of one square matrix per node plus one
-    auxiliary column per lattice-membership condition; the solution
-    lattice is the kernel of a single integer system, projected to the
-    matrix entries and quotiented by the tuples acting as zero.
+    Unknowns are the entries of one square matrix per node.  Each
+    condition asks that a block of rows A_i x lie in a node's relation
+    lattice L_i, so the solution lattice is the kernel of the stacked A
+    relative to block_diag(L_i) (see `fga.kernel`), and the algebra is
+    its quotient by the tuples acting as zero.
     """
     if F is None:
         F = T.subdiagram()
@@ -229,32 +231,24 @@ def end_algebra(T: Representation, F: Optional[Subdiagram] = None) -> EndAlgebra
         return offsets[di] + k * sizes[di] + i
 
     rows: List[Dict[int, int]] = []
-    aux = total
+    targets: List[IntMatrix] = []
 
-    # e_d maps each relation into the relation lattice: e_d b = B_d y
+    # e_d maps each relation b into the relation lattice: e_d b in L_d
     for di, d in enumerate(nodes):
         n = sizes[di]
         B = lat[di]
         for c in range(B.cols):
             b = B.col(c)
-            cols = [aux + j for j in range(B.cols)]
-            aux += B.cols
-            for k in range(n):
-                row = {evar(di, k, i): b[i] for i in range(n) if b[i]}
-                for j, a in enumerate(cols):
-                    if B.data[k][j]:
-                        row[a] = row.get(a, 0) - B.data[k][j]
-                rows.append(row)
+            rows += [{evar(di, k, i): b[i] for i in range(n) if b[i]}
+                     for k in range(n)]
+            targets.append(B)
 
     # commutation with every edge, modulo the target's relations
     for name in F.edges:
         s, t, hom = T.homs[name]
         si, ti = index[s], index[t]
         M = hom.matrix
-        B = lat[ti]
         for j in range(sizes[si]):
-            cols = [aux + l for l in range(B.cols)]
-            aux += B.cols
             for k in range(sizes[ti]):
                 row: Dict[int, int] = {}
                 for i in range(sizes[ti]):
@@ -265,15 +259,12 @@ def end_algebra(T: Representation, F: Optional[Subdiagram] = None) -> EndAlgebra
                     if M.data[k][i]:
                         v = evar(si, i, j)
                         row[v] = row.get(v, 0) - M.data[k][i]
-                for l, a in enumerate(cols):
-                    if B.data[k][l]:
-                        row[a] = row.get(a, 0) - B.data[k][l]
                 rows.append(row)
+            targets.append(lat[ti])
 
-    A = IntMatrix([[r.get(c, 0) for c in range(aux)] for r in rows],
-                  len(rows), aux)
-    K = kernel(A)
-    num = lattice_basis(IntMatrix(K.data[:total], total, K.cols))
+    A = IntMatrix([[r.get(c, 0) for c in range(total)] for r in rows],
+                  len(rows), total)
+    num = kernel(A, block_diag(targets))
 
     den_cols = []
     for di in range(len(nodes)):

@@ -514,7 +514,8 @@ class PairDiagram:
     def edge_names(self):
         return sorted(self.edges)
 
-    def identity_name(self, key):
+    @staticmethod
+    def identity_name(key):
         return f"id:{key[0]}/{key[1]}"
 
 
@@ -575,152 +576,164 @@ class DiagramBuilder:
 
 
 def build_diagram(spec: DiagramBuilder) -> PairDiagram:
-    complexes = dict(spec.complexes)
-    complexes.setdefault(EMPTY_NAME, SimplicialComplex.empty())
+    """Assemble the declarations of `spec` kind by kind: pairs, triples,
+    squares, edges, cubes, square maps, prisms."""
+    a = DiagramAssembly(spec.complexes)
+    for decl in spec.pairs:
+        a.pair(*decl)
+    for decl in spec.triples:
+        a.triple(*decl)
+    for decl in spec.squares:
+        a.square(*decl)
+    for decl in spec.edges:
+        a.edge(*decl)
+    for decl in spec.cubes:
+        a.cube(*decl)
+    for decl in spec.square_maps:
+        a.square_map(*decl)
+    for decl in spec.prisms:
+        a.prism(*decl)
+    return a.finish()
 
-    def get(name):
-        if name not in complexes:
+
+def _restricted(vmap: Dict[str, str], cx: SimplicialComplex) -> Dict[str, str]:
+    """vmap on the vertices of cx it has; PairMorphism names a missing one."""
+    return {v: vmap[v] for v in cx.vertices if v in vmap}
+
+
+def _inclusion(cx: SimplicialComplex) -> Dict[str, str]:
+    return {v: v for v in cx.vertices}
+
+
+class DiagramAssembly:
+    """A PairDiagram built one declaration at a time.
+
+    Each method adds one declaration's nodes, edges and generated
+    complexes, checks them against what came before and raises
+    ValueError with the reason.  `finish` adds the identity edges, checks
+    the composites and returns the diagram.
+    """
+
+    def __init__(self, complexes: Dict[str, SimplicialComplex]):
+        self.complexes = dict(complexes)
+        self.complexes.setdefault(EMPTY_NAME, SimplicialComplex.empty())
+        self.nodes: Dict[Tuple[str, str], SimpPair] = {}
+        self.edges: Dict[str, Edge] = {}
+        self.composites: List[Tuple[str, str, str]] = []
+        self.triples: Dict[str, Triple] = {}
+        self.cubes: Dict[str, Cube] = {}
+        self.squares: Dict[str, Square] = {}
+        self.square_maps: Dict[str, SquareMap] = {}
+        self.prisms: Dict[Tuple[str, str], PrismEdges] = {}
+
+    def _get(self, name: str) -> SimplicialComplex:
+        if name not in self.complexes:
             raise ValueError(f"unknown complex {name!r}")
-        return complexes[name]
+        return self.complexes[name]
 
-    def fresh_name(base):
+    def _generate(self, base: str, cx: SimplicialComplex) -> str:
+        """Store a generated complex under base, or base with `+`s if
+        that name is taken."""
         name = base
-        while name in complexes:
+        while name in self.complexes:
             name = name + "+"
+        self.complexes[name] = cx
         return name
 
-    nodes: Dict[Tuple[str, str], SimpPair] = {}
-    edges: Dict[str, Edge] = {}
-    composites: List[Tuple[str, str, str]] = []
+    def _add_edge(self, name, src_key, tgt_key, vmap, kind="square"):
+        if name in self.edges:
+            raise ValueError(f"duplicate edge name {name!r}")
+        morphism = PairMorphism(name, self.nodes[src_key], self.nodes[tgt_key],
+                                vmap, kind)
+        self.edges[name] = Edge(name, src_key, tgt_key, morphism)
 
-    def add_node(total_name, sub_name):
-        key = (total_name, sub_name)
-        if key not in nodes:
-            nodes[key] = SimpPair(get(total_name), get(sub_name))
+    def pair(self, total: str, sub: str = EMPTY_NAME) -> Tuple[str, str]:
+        key = (total, sub)
+        if key not in self.nodes:
+            self.nodes[key] = SimpPair(self._get(total), self._get(sub))
         return key
 
-    def add_edge(name, src_key, tgt_key, vmap, kind):
-        if name in edges:
-            raise ValueError(f"duplicate edge name {name!r}")
-        morphism = PairMorphism(name, nodes[src_key], nodes[tgt_key], vmap, kind)
-        edges[name] = Edge(name, src_key, tgt_key, morphism)
-        return name
-
-    def identity_map(key):
-        return {v: v for v in nodes[key].total.vertices}
-
-    for total, sub in spec.pairs:
-        add_node(total, sub)
-
-    triples: Dict[str, Triple] = {}
-    for name, x, y, z in spec.triples:
-        if name in triples:
+    def triple(self, name, x, y, z=EMPTY_NAME):
+        if name in self.triples:
             raise ValueError(f"duplicate triple name {name!r}")
-        zc, yc, xc = get(z), get(y), get(x)
+        zc, yc, xc = self._get(z), self._get(y), self._get(x)
         if not zc.is_subcomplex_of(yc) or not yc.is_subcomplex_of(xc):
             raise ValueError(f"triple {name!r} is not a chain of subcomplexes")
-        t = Triple(name, x, y, z)
-        triples[name] = t
-        add_node(y, z)
-        add_node(x, z)
-        add_node(x, y)
-        inc_y = {v: v for v in yc.vertices}
-        inc_x = {v: v for v in xc.vertices}
-        add_edge(t.bt, t.nyz, t.nxz, inc_y, "boxtimes")
-        add_edge(t.bp, t.nxz, t.nxy, inc_x, "boxplus")
-        add_edge(t.bd, t.nyz, t.nxy, inc_y, "partial")
-        composites.append((t.bt, t.bp, t.bd))
+        t = self.triples[name] = Triple(name, x, y, z)
+        self.pair(y, z)
+        self.pair(x, z)
+        self.pair(x, y)
+        self._add_edge(t.bt, t.nyz, t.nxz, _inclusion(yc), "boxtimes")
+        self._add_edge(t.bp, t.nxz, t.nxy, _inclusion(xc), "boxplus")
+        self._add_edge(t.bd, t.nyz, t.nxy, _inclusion(yc), "partial")
+        self.composites.append((t.bt, t.bp, t.bd))
 
-    squares: Dict[str, Square] = {}
-    for name, x, u, v in spec.squares:
-        if name in squares:
+    def square(self, name, x, u, v):
+        if name in self.squares:
             raise ValueError(f"duplicate square name {name!r}")
-        xc, uc, vc = get(x), get(u), get(v)
+        xc, uc, vc = self._get(x), self._get(u), self._get(v)
         ds = subcomplex_union(uc, vc, ambient=xc)
-        bname = fresh_name(f"{name}.b")
-        complexes[bname] = ds.intersection
-        dname = fresh_name(f"{name}.d")
-        complexes[dname] = ds.union
-        sq = Square(name, x, u, v, bname, dname)
-        squares[name] = sq
-        for cname in (bname, u, v, dname):
-            add_node(cname, EMPTY_NAME)
-        inc_b = {w: w for w in ds.intersection.vertices}
-        add_edge(sq.ia, (bname, EMPTY_NAME), (u, EMPTY_NAME), inc_b, "square")
-        add_edge(sq.ic, (bname, EMPTY_NAME), (v, EMPTY_NAME), inc_b, "square")
-        add_edge(sq.ja, (u, EMPTY_NAME), (dname, EMPTY_NAME),
-                 {w: w for w in uc.vertices}, "square")
-        add_edge(sq.jc, (v, EMPTY_NAME), (dname, EMPTY_NAME),
-                 {w: w for w in vc.vertices}, "square")
+        bname = self._generate(f"{name}.b", ds.intersection)
+        dname = self._generate(f"{name}.d", ds.union)
+        sq = self.squares[name] = Square(name, x, u, v, bname, dname)
+        kb, ku, kv, kd = (self.pair(c) for c in (bname, u, v, dname))
+        self._add_edge(sq.ia, kb, ku, _inclusion(ds.intersection))
+        self._add_edge(sq.ic, kb, kv, _inclusion(ds.intersection))
+        self._add_edge(sq.ja, ku, kd, _inclusion(uc))
+        self._add_edge(sq.jc, kv, kd, _inclusion(vc))
 
-    for name, src, tgt, vmap in spec.edges:
-        src_key = add_node(*src)
-        tgt_key = add_node(*tgt)
-        add_edge(name, src_key, tgt_key, vmap, "square")
+    def edge(self, name, src, tgt, vmap):
+        self._add_edge(name, self.pair(*src), self.pair(*tgt), vmap)
 
-    cubes: Dict[str, Cube] = {}
-    for name, sname, tname, vmap in spec.cubes:
-        if sname not in triples or tname not in triples:
+    def cube(self, name, src, tgt, vmap):
+        if src not in self.triples or tgt not in self.triples:
             raise ValueError(f"cube {name!r} references an unknown triple")
-        s, t = triples[sname], triples[tname]
-        cube = Cube(name, sname, tname, vmap)
-        cubes[name] = cube
-        restrict = lambda cx: {v: vmap[v] for v in cx.vertices}
-        add_edge(cube.dia, s.nyz, t.nyz, restrict(get(s.y)), "square")
-        add_edge(cube.mid, s.nxz, t.nxz, restrict(get(s.x)), "square")
-        add_edge(cube.box, s.nxy, t.nxy, restrict(get(s.x)), "square")
+        s, t = self.triples[src], self.triples[tgt]
+        c = self.cubes[name] = Cube(name, src, tgt, vmap)
+        self._add_edge(c.dia, s.nyz, t.nyz, _restricted(vmap, self._get(s.y)))
+        self._add_edge(c.mid, s.nxz, t.nxz, _restricted(vmap, self._get(s.x)))
+        self._add_edge(c.box, s.nxy, t.nxy, _restricted(vmap, self._get(s.x)))
 
-    square_maps: Dict[str, SquareMap] = {}
-    for name, sname, tname, vmap in spec.square_maps:
-        if sname not in squares or tname not in squares:
+    def square_map(self, name, src, tgt, vmap):
+        if src not in self.squares or tgt not in self.squares:
             raise ValueError(f"square map {name!r} references an unknown square")
-        s, t = squares[sname], squares[tname]
-        sm = SquareMap(name, sname, tname, vmap)
-        square_maps[name] = sm
-        restrict = lambda cx: {v: vmap[v] for v in cx.vertices}
-        add_edge(sm.eb, (s.b, EMPTY_NAME), (t.b, EMPTY_NAME),
-                 restrict(get(s.b)), "square")
-        add_edge(sm.ea, (s.u, EMPTY_NAME), (t.u, EMPTY_NAME),
-                 restrict(get(s.u)), "square")
-        add_edge(sm.ec, (s.v, EMPTY_NAME), (t.v, EMPTY_NAME),
-                 restrict(get(s.v)), "square")
-        add_edge(sm.ed, (s.d, EMPTY_NAME), (t.d, EMPTY_NAME),
-                 restrict(get(s.d)), "square")
+        s, t = self.squares[src], self.squares[tgt]
+        m = self.square_maps[name] = SquareMap(name, src, tgt, vmap)
+        for edge, a, b in ((m.eb, s.b, t.b), (m.ea, s.u, t.u),
+                           (m.ec, s.v, t.v), (m.ed, s.d, t.d)):
+            self._add_edge(edge, (a, EMPTY_NAME), (b, EMPTY_NAME),
+                           _restricted(vmap, self._get(a)))
 
-    prisms: Dict[Tuple[str, str], PrismEdges] = {}
-    for total, sub in spec.prisms:
-        key = add_node(total, sub)
-        if key in prisms:
-            continue
-        data = prism(get(total))
-        sub_data = prism(get(sub))
-        pt_name = fresh_name(f"{total}xI")
-        complexes[pt_name] = data.complex
+    def prism(self, total, sub=EMPTY_NAME):
+        key = self.pair(total, sub)
+        if key in self.prisms:
+            return
+        data = prism(self._get(total))
+        pt_name = self._generate(f"{total}xI", data.complex)
         if sub == EMPTY_NAME:
             ps_name = EMPTY_NAME
         else:
-            ps_name = fresh_name(f"{sub}xI")
-            complexes[ps_name] = sub_data.complex
-        pkey = add_node(pt_name, ps_name)
-        pe = PrismEdges(key, pkey)
-        prisms[key] = pe
-        add_edge(pe.i0, key, pkey, data.bottom, "square")
-        add_edge(pe.i1, key, pkey, data.top, "square")
-        add_edge(pe.pr, pkey, key, data.projection, "square")
+            ps_name = self._generate(f"{sub}xI", prism(self._get(sub)).complex)
+        pe = self.prisms[key] = PrismEdges(key, self.pair(pt_name, ps_name))
+        self._add_edge(pe.i0, key, pe.product_pair, data.bottom)
+        self._add_edge(pe.i1, key, pe.product_pair, data.top)
+        self._add_edge(pe.pr, pe.product_pair, key, data.projection)
 
-    for key in sorted(nodes):
-        name = f"id:{key[0]}/{key[1]}"
-        if name in edges:
-            raise ValueError(f"edge name {name!r} collides with an identity")
-        add_edge(name, key, key, identity_map(key), "identity")
-
-    for first, then, whole in composites:
-        f, g, h = edges[first], edges[then], edges[whole]
-        if f.tgt != g.src or f.src != h.src or g.tgt != h.tgt:
-            raise ValueError(f"composite {whole!r} has inconsistent endpoints")
-        for v in nodes[f.src].total.vertices:
-            if g.morphism.vertex_map[f.morphism.vertex_map[v]] != h.morphism.vertex_map[v]:
-                raise ValueError(f"composite {whole!r} disagrees with its factors")
-
-    return PairDiagram(complexes, nodes, edges, composites, triples, cubes,
-                       squares, square_maps, prisms)
+    def finish(self) -> PairDiagram:
+        for key in sorted(self.nodes):
+            name = PairDiagram.identity_name(key)
+            if name in self.edges:
+                raise ValueError(f"edge name {name!r} collides with an identity")
+            self._add_edge(name, key, key, _inclusion(self.nodes[key].total),
+                           "identity")
+        for first, then, whole in self.composites:
+            f, g, h = self.edges[first], self.edges[then], self.edges[whole]
+            if f.tgt != g.src or f.src != h.src or g.tgt != h.tgt:
+                raise ValueError(f"composite {whole!r} has inconsistent endpoints")
+            fm, gm, hm = (e.morphism.vertex_map for e in (f, g, h))
+            for v in self.nodes[f.src].total.vertices:
+                if gm[fm[v]] != hm[v]:
+                    raise ValueError(f"composite {whole!r} disagrees with its factors")
+        return PairDiagram(self.complexes, self.nodes, self.edges,
+                           self.composites, self.triples, self.cubes,
+                           self.squares, self.square_maps, self.prisms)

@@ -18,6 +18,10 @@ it exactly.
 reference_pages is the package's earlier spectral-sequence loop, which
 builds every Z lattice, page entry and niveau subquotient anew for each
 (r, p, q): the content-keyed SpectralSequence must agree with it exactly.
+reference_commutant_lattice is end_algebra's earlier solution lattice,
+with one auxiliary unknown per generator of each condition's relation
+lattice: the relative kernel that replaced it must give the same
+canonical basis.
 """
 
 import itertools
@@ -30,6 +34,8 @@ from homlab.fga import (
     IntMatrix,
     QuotientExpresser,
     hstack,
+    kernel,
+    lattice_basis,
     modulus_columns,
     preimage_lattice,
     present_subquotient,
@@ -283,6 +289,70 @@ def reference_preimage_lattice(M, L):
     coordinates of the Smith-based kernel of [M | L], by reference_hnf_rows."""
     K = reference_kernel(hstack([M, L]))
     return reference_lattice_basis(IntMatrix(K.data[:M.cols], M.cols, K.cols))
+
+
+def reference_commutant_lattice(T, F):
+    """Canonical basis of the endomorphism tuples of T over F that are
+    well defined and commute with F's edges, flattened node by node and
+    row by row: the kernel of one system with an auxiliary unknown per
+    relation-lattice generator of each condition, projected to the
+    matrix entries."""
+    nodes = F.nodes
+    sizes = tuple(T.groups[d].ngens for d in nodes)
+    offsets = []
+    total = 0
+    for n in sizes:
+        offsets.append(total)
+        total += n * n
+    index = {d: i for i, d in enumerate(nodes)}
+    lat = [lattice_basis(T.groups[d].relation_cols()) for d in nodes]
+
+    def evar(di, k, i):
+        return offsets[di] + k * sizes[di] + i
+
+    rows = []
+    aux = total
+    # e_d maps each relation into the relation lattice: e_d b = B_d y
+    for di, d in enumerate(nodes):
+        n = sizes[di]
+        B = lat[di]
+        for c in range(B.cols):
+            b = B.col(c)
+            cols = [aux + j for j in range(B.cols)]
+            aux += B.cols
+            for k in range(n):
+                row = {evar(di, k, i): b[i] for i in range(n) if b[i]}
+                for j, a in enumerate(cols):
+                    if B.data[k][j]:
+                        row[a] = row.get(a, 0) - B.data[k][j]
+                rows.append(row)
+    # commutation with every edge, modulo the target's relations
+    for name in F.edges:
+        s, t, hom = T.homs[name]
+        si, ti = index[s], index[t]
+        M = hom.matrix
+        B = lat[ti]
+        for j in range(sizes[si]):
+            cols = [aux + l for l in range(B.cols)]
+            aux += B.cols
+            for k in range(sizes[ti]):
+                row = {}
+                for i in range(sizes[ti]):
+                    if M.data[i][j]:
+                        v = evar(ti, k, i)
+                        row[v] = row.get(v, 0) + M.data[i][j]
+                for i in range(sizes[si]):
+                    if M.data[k][i]:
+                        v = evar(si, i, j)
+                        row[v] = row.get(v, 0) - M.data[k][i]
+                for l, a in enumerate(cols):
+                    if B.data[k][l]:
+                        row[a] = row.get(a, 0) - B.data[k][l]
+                rows.append(row)
+    A = IntMatrix([[r.get(c, 0) for c in range(aux)] for r in rows],
+                  len(rows), aux)
+    K = kernel(A)
+    return lattice_basis(IntMatrix(K.data[:total], total, K.cols))
 
 
 def dense_apply(A, vec):

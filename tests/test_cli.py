@@ -10,7 +10,11 @@ import pytest
 from homlab.cli import main
 
 from oracles import frac_rank, quotient_invariants
-from test_dsl import CUBE_MISSES_A_VERTEX, SQUAREMAP_NOT_SIMPLICIAL
+from test_dsl import (
+    CUBE_MISSES_A_VERTEX,
+    GENERATED_NAME_TAKEN,
+    SQUAREMAP_NOT_SIMPLICIAL,
+)
 
 CIRCLE = "complex S1 = {01, 12, 02}\nfiltration F on S1 = skeletal\ncellular F\n"
 POINT_SEQ = ("complex P = {v}\n"
@@ -334,3 +338,16 @@ def test_bad_cube_and_square_maps_exit_two(tmp_path, text, where):
     assert proc.stderr.startswith(f"error: {where}: map ")
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("name, where", [
+    ("c.box", "line 6, column 32"),
+    ("t.bt", "line 6, column 31"),
+])
+def test_generated_edge_name_exits_two(tmp_path, name, where):
+    src = tmp_path / "in.hwb"
+    src.write_text(GENERATED_NAME_TAKEN.replace("{name}", name))
+    proc = subprocess.run([sys.executable, "-m", "homlab.cli", str(src)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: {where}: duplicate edge name {name!r}\n"

@@ -2,6 +2,7 @@
 
 import pytest
 
+from homlab.cli import _build_diagram
 from homlab.dsl import DslError, parse, print_spec, resolve_zeros
 from homlab.logic import (
     Add,
@@ -110,6 +111,24 @@ def test_square_map_is_checked_on_each_piece():
     err = _parse_error(SQUAREMAP_NOT_SIMPLICIAL.replace("c:c", "c:d"))
     assert (err.line, err.col) == (6, 25)
     assert "map 's.b' sends 'c' to unknown vertex 'd'" in str(err)
+
+
+# an edge declared under a name that the cube c or the triple t before it
+# already gave one of its edges
+GENERATED_NAME_TAKEN = ("complex X = {ab}\n"
+                        "complex Y = {a}\n"
+                        "map i = {a:a, b:b}\n"
+                        "triple t : X / Y\n"
+                        "cube c : t -> t by i\n"
+                        "edge {name} : X / Y -> X / Y by i\n"
+                        "validate\n")
+
+
+@pytest.mark.parametrize("name, col", [("c.box", 32), ("t.bt", 31)])
+def test_generated_edge_name_is_taken(name, col):
+    err = _parse_error(GENERATED_NAME_TAKEN.replace("{name}", name))
+    assert (err.line, err.col) == (6, col)
+    assert f"duplicate edge name {name!r}" in str(err)
 
 
 def test_filtration_dimension_violation_is_located():
@@ -355,3 +374,59 @@ def test_printed_declarations_are_sorted():
 def test_print_emits_maximal_simplices_only():
     printed = print_spec(parse("complex X = {ab, a, b, abc}\nvalidate\n"))
     assert printed == "complex X = {abc}\nvalidate\n"
+
+
+# -- parse implies build ---------------------------------------------------------
+
+# every declaration kind on the 4-cycle; the sequent's sorts name
+# complexes that the square and the prism generate
+EVERY_KIND = """complex C = {ab, bc, cd, ad}
+complex A = {b, d}
+complex P = {b}
+complex U = {ab, bc}
+complex V = {cd, ad}
+map f = {a:c, b:b, c:a, d:d}
+map g = {a:b, b:c, c:d, d:a}
+pair C / A
+edge e : C / A -> C / A by f
+edge h : C -> C by g
+triple t : C / A / P
+square q : U + V in C
+squaremap m : q -> q by f
+cube c : t -> t by f
+prism A / P
+filtration F on C = skeletal
+sequent s = [x:h1(C,A), y:h0(q.b), z:h0(AxI,PxI)] top |- x = x
+validate
+"""
+# statements that reuse a name the diagram generates
+NEAR_MISSES = (
+    "edge c.box : C / A -> C / A by f",
+    "edge t.bt : C -> C by g",
+    "edge q.ia : C -> C by g",
+    "edge m.b : C -> C by g",
+    "complex q.b = {a}",
+    "complex AxI = {a}",
+    "complex PxI = {a}",
+)
+
+
+def _corpus():
+    lines = EVERY_KIND.splitlines()
+    for k in range(len(lines)):
+        yield "\n".join(lines[:k] + lines[k + 1:]) + "\n"
+    for extra in NEAR_MISSES:
+        for k in range(5, len(lines)):
+            yield "\n".join(lines[:k] + [extra] + lines[k:]) + "\n"
+
+
+def test_parse_implies_build():
+    parsed = 0
+    for text in _corpus():
+        try:
+            ws = parse(text)
+        except DslError:
+            continue
+        _build_diagram(ws)
+        parsed += 1
+    assert parsed >= 20

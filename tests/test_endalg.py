@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from homlab import endalg
+from homlab.cli import _build_diagram
+from homlab.dsl import parse
 from homlab.endalg import (
     EndAlgebra,
     Representation,
@@ -11,9 +14,11 @@ from homlab.endalg import (
     restriction_map,
     verify_module_action,
 )
-from homlab.fga import FgAbGroup, GroupHom, IntMatrix, hom_image
+from homlab.fga import FgAbGroup, GroupHom, IntMatrix, hom_image, kernel
 from homlab.model import HomologyModel
 from homlab.simp import DiagramBuilder, SimplicialComplex, skeleton
+
+from oracles import reference_commutant_lattice
 
 
 # -- independent rational oracle ----------------------------------------------
@@ -312,3 +317,78 @@ def test_mod_two_circle_representation():
     assert E.group.iso_invariants() == (0, (2, 2))
     assert E.rational_rank == 0
     assert verify_module_action(T, E).ok
+
+
+# -- the relative kernel against the auxiliary-column system -------------------
+
+# the 4-cycle abcd with A = {b, d}, P = {b}, U = abc and V = cda; f swaps
+# a and c, g turns the cycle by one step
+CYCLE4 = """complex C = {ab, bc, cd, ad}
+complex A = {b, d}
+complex P = {b}
+complex U = {ab, bc}
+complex V = {cd, ad}
+map f = {a:c, b:b, c:a, d:d}
+map g = {a:b, b:c, c:d, d:a}
+pair C / A
+edge e : C / A -> C / A by f
+edge h : C -> C by g
+triple t : C / A / P
+square q : U + V in C
+squaremap m : q -> q by f
+end-algebra
+"""
+
+
+def _model_rep(text, modulus):
+    model = HomologyModel(_build_diagram(parse(text)), modulus)
+    return representation_from_model(model)[0]
+
+
+def _subdiagrams(T):
+    yield T.subdiagram()
+    yield T.subdiagram(edges=[])
+    yield T.subdiagram(nodes=T.node_keys()[:1], edges=[])
+
+
+def _random_rep(rng):
+    pool = [
+        FgAbGroup.free(1),
+        FgAbGroup.free(2),
+        FgAbGroup(1, IntMatrix([[4]])),
+        FgAbGroup(2, IntMatrix([[2, 0]])),
+        FgAbGroup(2, IntMatrix([[2, 0], [0, 6]])),
+        FgAbGroup(2, IntMatrix([[3, 3], [0, 9]])),
+    ]
+    groups = {n: rng.choice(pool) for n in "ABC"[:rng.randint(1, 3)]}
+    names = sorted(groups)
+    homs = {}
+    for k in range(rng.randint(0, 3)):
+        src, tgt = rng.choice(names), rng.choice(names)
+        homs[f"f{k}"] = (src, tgt, _random_hom(rng, groups[src], groups[tgt]))
+    return Representation(groups, homs)
+
+
+def _representations():
+    for modulus in (0, 2, 3):
+        yield _model_rep(CYCLE4, modulus)
+    rng = random.Random(20261018)
+    for _ in range(40):
+        yield _random_rep(rng)
+
+
+def test_commutant_lattice_matches_reference(monkeypatch):
+    found = []
+
+    def spy(A, L=None):
+        found.append(kernel(A, L))
+        return found[-1]
+    monkeypatch.setattr(endalg, "kernel", spy)
+    checked = 0
+    for T in _representations():
+        for F in _subdiagrams(T):
+            found.clear()
+            end_algebra(T, F)
+            assert found == [reference_commutant_lattice(T, F)]
+            checked += 1
+    assert checked == 3 * 43

@@ -251,6 +251,27 @@ def test_diagram_errors():
         b3.add_triple("t", "Y", "X", EMPTY_NAME).build()
 
 
+def test_unmapped_vertex_in_cube_or_square_map():
+    seg = SimplicialComplex.from_maximal_simplices([("a", "b")])
+    b = DiagramBuilder()
+    b.add_complex("X", seg)
+    b.add_complex("Y", skeleton(seg, 0))
+    b.add_triple("t", "X", "Y")
+    b.add_cube("c", "t", "t", {"a": "a"})
+    with pytest.raises(ValueError, match="'c.dia' leaves vertex 'b' unmapped"):
+        b.build()
+
+    x = full_triangle()
+    b2 = DiagramBuilder()
+    b2.add_complex("X", x)
+    b2.add_complex("U", subcomplex(x, [("a", "b"), ("a", "c")]))
+    b2.add_complex("V", subcomplex(x, [("b", "c")]))
+    b2.add_square("s", "X", "U", "V")
+    b2.add_square_map("m", "s", "s", {"a": "a"})
+    with pytest.raises(ValueError, match="'m.b' leaves vertex 'b' unmapped"):
+        b2.build()
+
+
 def test_intersection_helper():
     x = full_triangle()
     u = subcomplex(x, [("a", "b")])
