@@ -15,9 +15,9 @@ sha256 of the summary as sorted JSON.
 Enumeration rungs time `validate --flavor core,homotopy,cd` through
 `homlab.cli.main`, whose cost is the brute-force sequent enumeration:
 the 4-cycle diagram at Z/11 and Z/13 and the 3-edge circle at Z/97.
-The end-algebra rung times `end-algebra` through `homlab.cli.main` on
-the 3 x 3 torus diagram at Z, whose cost is one relative kernel and the
-Smith forms of its presentation.  Each of these lines ends with the first
+The end-algebra rungs time `end-algebra` through `homlab.cli.main` on
+the 3 x 3 torus diagram at Z and Z/2, whose cost is one relative kernel
+and the Smith forms of its presentation.  Each of these lines ends with the first
 16 hex digits of the sha256 of the report.
 
 So two checkouts can be compared for identical results as well as for
@@ -106,6 +106,7 @@ CLI_RUNGS = {
     "cycle4/Zmod13": (CYCLE4, ["--coeff", "Zmod13", *VALIDATE_FLAGS]),
     "circle3/Zmod97": (CIRCLE3, ["--coeff", "Zmod97", *VALIDATE_FLAGS]),
     "end-algebra/torus3/Z": (TORUS3, []),
+    "end-algebra/torus3/Z2": (TORUS3, ["--coeff", "Zmod2"]),
 }
 
 

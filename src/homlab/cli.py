@@ -220,7 +220,7 @@ def main(argv=None) -> int:
     try:
         with open(args.file, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

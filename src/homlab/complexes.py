@@ -14,6 +14,7 @@ from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 from .fga import (
     FgAbGroup,
     GroupHom,
+    HermiteBasis,
     IntMatrix,
     QuotientExpresser,
     hstack,
@@ -34,10 +35,10 @@ class HomologyEntry(NamedTuple):
     expresser: QuotientExpresser
 
 
-def homology_entry(dim: int, numerator: IntMatrix,
+def homology_entry(dim: int, numerator: HermiteBasis,
                    denominator: IntMatrix) -> HomologyEntry:
-    """N/D for column lattices D <= N inside Z^dim; the expresser builds
-    its solver on first use."""
+    """N/D for lattices D <= N inside Z^dim (see `present_subquotient`);
+    the expresser builds its solver on first use."""
     group, reps = present_subquotient(dim, numerator, denominator)
     return HomologyEntry(group, reps, QuotientExpresser(reps, denominator))
 
@@ -129,7 +130,7 @@ class ChainComplex:
         homomorphisms, so those relations are cycles."""
         cn = self.group(n)
         d_n = self.differential(n)
-        cycles = preimage_lattice(d_n.matrix, d_n.target.relation_cols())
+        cycles = preimage_lattice(d_n.matrix, d_n.target.relation_lattice())
         boundaries = hstack([self.differential(n + 1).matrix,
                              cn.relation_cols()])
         try:

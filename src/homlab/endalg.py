@@ -17,11 +17,10 @@ from .fga import (
     CanonicalForm,
     FgAbGroup,
     GroupHom,
+    HermiteBasis,
     IntMatrix,
     QuotientExpresser,
-    block_diag,
     kernel,
-    lattice_basis,
     present_subquotient,
 )
 from .logic import Signature, generate_signature, symbol_hom
@@ -212,8 +211,9 @@ def end_algebra(T: Representation, F: Optional[Subdiagram] = None) -> EndAlgebra
     Unknowns are the entries of one square matrix per node.  Each
     condition asks that a block of rows A_i x lie in a node's relation
     lattice L_i, so the solution lattice is the kernel of the stacked A
-    relative to block_diag(L_i) (see `fga.kernel`), and the algebra is
-    its quotient by the tuples acting as zero.
+    relative to the direct sum of the L_i (see `fga.kernel`), and the
+    algebra is its quotient by the tuples acting as zero.  A is kept as
+    its sparse columns.
     """
     if F is None:
         F = T.subdiagram()
@@ -225,23 +225,32 @@ def end_algebra(T: Representation, F: Optional[Subdiagram] = None) -> EndAlgebra
         offsets.append(total)
         total += n * n
     index = {d: i for i, d in enumerate(nodes)}
-    lat = [lattice_basis(T.groups[d].relation_cols()) for d in nodes]
+    lat = [T.groups[d].relation_lattice() for d in nodes]
 
     def evar(di: int, k: int, i: int) -> int:
         return offsets[di] + k * sizes[di] + i
 
-    rows: List[Dict[int, int]] = []
-    targets: List[IntMatrix] = []
+    cols: List[Dict[int, int]] = [{} for _ in range(total)]  # A's columns
+    target: Dict[int, dict] = {}  # the direct sum of the L_i
+    nrows = 0
+
+    def condition(rows: list, L: HermiteBasis) -> None:
+        """Rows of A, one block, whose values must lie in L."""
+        nonlocal nrows
+        for c, b in L.rows.items():
+            target[nrows + c] = {nrows + k: e for k, e in b.items()}
+        for row in rows:
+            for v, e in row.items():
+                if e:
+                    cols[v][nrows] = e
+            nrows += 1
 
     # e_d maps each relation b into the relation lattice: e_d b in L_d
     for di, d in enumerate(nodes):
         n = sizes[di]
-        B = lat[di]
-        for c in range(B.cols):
-            b = B.col(c)
-            rows += [{evar(di, k, i): b[i] for i in range(n) if b[i]}
-                     for k in range(n)]
-            targets.append(B)
+        for b in lat[di].rows.values():
+            condition([{evar(di, k, i): e for i, e in b.items()}
+                       for k in range(n)], lat[di])
 
     # commutation with every edge, modulo the target's relations
     for name in F.edges:
@@ -249,6 +258,7 @@ def end_algebra(T: Representation, F: Optional[Subdiagram] = None) -> EndAlgebra
         si, ti = index[s], index[t]
         M = hom.matrix
         for j in range(sizes[si]):
+            rows = []
             for k in range(sizes[ti]):
                 row: Dict[int, int] = {}
                 for i in range(sizes[ti]):
@@ -260,24 +270,16 @@ def end_algebra(T: Representation, F: Optional[Subdiagram] = None) -> EndAlgebra
                         v = evar(si, i, j)
                         row[v] = row.get(v, 0) - M.data[k][i]
                 rows.append(row)
-            targets.append(lat[ti])
+            condition(rows, lat[ti])
 
-    A = IntMatrix([[r.get(c, 0) for c in range(total)] for r in rows],
-                  len(rows), total)
-    num = kernel(A, block_diag(targets))
+    num = kernel(cols, HermiteBasis(target, nrows))
 
     den_cols = []
     for di in range(len(nodes)):
-        n = sizes[di]
-        B = lat[di]
-        for j in range(n):
-            for c in range(B.cols):
-                v = [0] * total
-                b = B.col(c)
-                for k in range(n):
-                    v[evar(di, k, j)] = b[k]
-                den_cols.append(v)
-    den = IntMatrix.from_cols(den_cols, total)
+        for j in range(sizes[di]):
+            for b in lat[di].rows.values():
+                den_cols.append({evar(di, k, j): e for k, e in b.items()})
+    den = IntMatrix.from_sparse_cols(den_cols, total)
 
     raw, P = present_subquotient(total, num, den)
     expresser = QuotientExpresser(P, den)

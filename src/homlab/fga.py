@@ -13,6 +13,15 @@ carry everything else:
 - the Smith normal form with its transforms U and V, for what depends on
   them: `LinearSolver` (and through it `QuotientExpresser`) and the
   element coordinates of `CanonicalForm`.
+
+Format rule: a lattice travels as a `HermiteBasis`: `kernel`,
+`preimage_lattice`, `lattice_basis` and `hnf_rows` return one, and lattice
+arguments arrive as one, for any generators of it serve, since every
+result is canonical.  An `IntMatrix` is a map (`GroupHom` matrices, chain
+differentials, the input of `smith`) or an ordered generator list, whose
+order reaches reports: the denominators in `ChainComplex.homology_with_reps`,
+`SpectralSequence._page_entry` and `end_algebra` become group relations,
+and the representatives `reps` group generators.
 """
 
 from __future__ import annotations
@@ -78,6 +87,11 @@ class IntMatrix:
                 raise ValueError("column of wrong length")
         data = tuple(zip(*cols)) if cols else ((),) * nrows
         return cls._of(data, nrows, len(cols))
+
+    @classmethod
+    def from_sparse_cols(cls, cols: Sequence[dict], nrows: int) -> "IntMatrix":
+        """The matrix with these sparse columns {row: entry}."""
+        return cls._of(_dense_rows(cols, nrows), len(cols), nrows).transpose()
 
     def col(self, j: int) -> tuple:
         return tuple(self.data[i][j] for i in range(self.rows))
@@ -206,13 +220,6 @@ def block_diag(mats: Sequence[IntMatrix]) -> IntMatrix:
     return IntMatrix._of(tuple(out), rows, cols)
 
 
-def modulus_columns(m: int, dim: int) -> IntMatrix:
-    """Columns generating m*Z^dim; no columns at all for m = 0 (integers)."""
-    if m == 0:
-        return IntMatrix.zeros(dim, 0)
-    return IntMatrix.identity(dim).scaled(m)
-
-
 def _dense_rows(rows: Sequence[dict], n: int) -> tuple:
     """Int tuples of length n from sparse rows {index: entry}."""
     out = []
@@ -241,8 +248,8 @@ class SmithDecomposition:
     The decomposition is kept in the sparse form `smith` leaves it in:
     the rows of U and the columns of V as dicts {index: nonzero entry},
     and the diagonal of D, whose first `rank` entries are nonzero.
-    `LinearSolver`, `rank` and `CanonicalForm` read that form; the dense matrices `U`, `D` and `V` are built when first
-    read and kept.
+    `LinearSolver` and `CanonicalForm` read that form; the dense matrices
+    `U`, `D` and `V` are built when first read and kept.
     """
 
     __slots__ = ("_shape", "rank", "_urows", "_vcols", "_diag", "_U", "_D", "_V")
@@ -274,8 +281,7 @@ class SmithDecomposition:
     @property
     def V(self) -> IntMatrix:
         if self._V is None:
-            n = self._shape[1]
-            self._V = IntMatrix._of(_dense_rows(self._vcols, n), n, n).transpose()
+            self._V = IntMatrix.from_sparse_cols(self._vcols, self._shape[1])
         return self._V
 
     def diagonal(self) -> tuple:
@@ -411,10 +417,6 @@ def smith(A: IntMatrix) -> SmithDecomposition:
         t += 1
     diag = tuple(D[i][i] for i in range(t)) + (0,) * (limit - t)
     return SmithDecomposition((m, n), U, V, diag)
-
-
-def rank(A: IntMatrix) -> int:
-    return smith(A).rank
 
 
 def solve(A: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
@@ -564,28 +566,29 @@ def _reduce(v: dict, echelon: dict, after: int = -1) -> dict:
 
 
 class HermiteBasis:
-    """A lattice held as its reduced row Hermite form: sparse rows
-    {column: entry}, keyed by pivot column in increasing order.
+    """A lattice in Z^dim held as its reduced row Hermite form, which is
+    unique: sparse rows {column: entry}, keyed by pivot column in
+    increasing order.
 
     Membership and coordinates come by triangular substitution against
     the rows; since they are a basis, coordinates are unique.
     """
 
-    __slots__ = ("rows", "_position")
+    __slots__ = ("rows", "dim", "_position")
 
-    def __init__(self, rows: dict):
+    def __init__(self, rows: dict, dim: int):
         self.rows = rows
+        self.dim = dim
         self._position = {c: i for i, c in enumerate(rows)}
 
     @classmethod
-    def of_columns(cls, P: IntMatrix) -> "HermiteBasis":
-        """From a matrix whose columns are already in reduced Hermite form,
-        such as the output of `lattice_basis` or `preimage_lattice`."""
-        rows = {}
-        for col in P.columns():
-            row = _sparse(col)
-            rows[min(row)] = row
-        return cls(rows)
+    def spanned_by(cls, vectors: Iterable[dict], dim: int) -> "HermiteBasis":
+        """The lattice the sparse vectors span; they are left as they are."""
+        return cls(_hermite(dict(v) for v in vectors), dim)
+
+    def as_columns(self) -> IntMatrix:
+        """The basis vectors, in pivot order, as the columns of a matrix."""
+        return IntMatrix.from_sparse_cols(list(self.rows.values()), self.dim)
 
     def contains(self, vec: dict) -> bool:
         v = dict(vec)
@@ -639,64 +642,54 @@ class HermiteBasis:
         return [1] * ones + diag
 
 
-def _with_identity(A: IntMatrix) -> list:
-    """The sparse rows of [Aᵀ | I]: column j of A, then e_j."""
-    rows = []
-    for j, col in enumerate(A.columns()):
-        row = _sparse(col)
-        row[A.rows + j] = 1
-        rows.append(row)
-    return rows
+def kernel(A, L: Optional[HermiteBasis] = None) -> HermiteBasis:
+    """The integer kernel of A, or, given L, the lattice {x : A x lies in
+    L}, in reduced Hermite form.  A is an `IntMatrix`, or the list of its
+    columns as sparse vectors when L is given, whose `dim` is then A's
+    row count.
 
-
-def kernel(A: IntMatrix, L: Optional[IntMatrix] = None) -> IntMatrix:
-    """Matrix whose columns are the canonical basis of the integer kernel
-    of A, or, given L, of {x : A x lies in the column lattice of L}: its
-    reduced column Hermite form, as `lattice_basis` gives it.
-
-    One Hermite elimination of the rows [Aᵀ | I] and [Lᵀ | 0] (Cohen, GTM
-    138, §2.4): a row combination of them is (A x + L y, x), so the rows
-    of the form whose pivot lies in the I block are the (0, x) with A x
-    in the lattice of L, and reduced among themselves they are the
-    reduced form of that lattice.  L's coordinates get no identity block.
+    One Hermite elimination of the rows [Aᵀ | I] and [L | 0] (Cohen, GTM
+    138, §2.4): a row combination of them is (A x + y, x) with y in L, so
+    the rows of the form whose pivot lies in the I block are the (0, x)
+    with A x in L, and reduced among themselves they are the reduced form
+    of that lattice.  L's rows get no identity block.
     """
-    m, n = A.rows, A.cols
-    rows = _with_identity(A)
+    if isinstance(A, IntMatrix):
+        m, A = A.rows, list(map(_sparse, A.columns()))
+    else:
+        m = L.dim
+    rows = [{**col, m + j: 1} for j, col in enumerate(A)]
     if L is not None:
-        if L.rows != m:
+        if L.dim != m:
             raise ValueError("target lattice in wrong ambient rank")
-        rows += [_sparse(col) for col in L.columns()]
-    cols = [{k - m: e for k, e in row.items()}
-            for row in _hermite(rows, m).values()]
-    return IntMatrix._of(_dense_rows(cols, n), len(cols), n).transpose()
+        rows += map(dict, L.rows.values())
+    H = _hermite(rows, m)
+    return HermiteBasis({c - m: {k - m: e for k, e in row.items()}
+                         for c, row in H.items()}, len(A))
 
 
-def hnf_rows(A: IntMatrix) -> IntMatrix:
-    """Canonical row Hermite form; returns only the nonzero rows.
+def hnf_rows(A: IntMatrix) -> HermiteBasis:
+    """The lattice spanned by the rows of A.
 
-    Two row sets span the same lattice iff their forms are equal.
-
-    >>> hnf_rows(IntMatrix([[2, 4], [3, 5], [0, 6]]))
-    IntMatrix([[1, 1], [0, 2]])
+    >>> hnf_rows(IntMatrix([[2, 4], [3, 5], [0, 6]])).rows
+    {0: {0: 1, 1: 1}, 1: {1: 2}}
     """
-    H = _hermite([_sparse(r) for r in A.data])
-    return IntMatrix._of(_dense_rows(H.values(), A.cols), len(H), A.cols)
+    return HermiteBasis.spanned_by(map(_sparse, A.data), A.cols)
 
 
-def lattice_basis(G: IntMatrix) -> IntMatrix:
-    """Canonical basis (as columns) of the lattice spanned by the columns of G."""
-    return hnf_rows(G.transpose()).transpose()
+def lattice_basis(G: IntMatrix) -> HermiteBasis:
+    """The lattice spanned by the columns of G."""
+    return hnf_rows(G.transpose())
 
 
 def same_lattice(A: IntMatrix, B: IntMatrix) -> bool:
     if A.rows != B.rows:
         raise ValueError("lattices in different ambient ranks")
-    return hnf_rows(A.transpose()) == hnf_rows(B.transpose())
+    return lattice_basis(A).rows == lattice_basis(B).rows
 
 
-def preimage_lattice(M: IntMatrix, L: IntMatrix) -> IntMatrix:
-    """Canonical basis of {x : M x lies in the column lattice of L}: the
-    kernel of M relative to L (see `kernel`)."""
+def preimage_lattice(M, L: HermiteBasis) -> HermiteBasis:
+    """{x : M x lies in L}: the kernel of M relative to L (see `kernel`)."""
     return kernel(M, L)
 
 
@@ -712,11 +705,11 @@ def unimodular_inverse(M: IntMatrix) -> IntMatrix:
     n = M.rows
     if M.cols != n:
         raise ValueError("matrix is not unimodular")
-    H = _hermite(_with_identity(M))
+    H = _hermite({**_sparse(c), n + j: 1} for j, c in enumerate(M.columns()))
     if list(H) != list(range(n)) or any(H[c][c] != 1 for c in range(n)):
         raise ValueError("matrix is not unimodular")
-    cols = [{k - n: e for k, e in H[c].items() if k >= n} for c in range(n)]
-    return IntMatrix._of(_dense_rows(cols, n), n, n).transpose()
+    return IntMatrix.from_sparse_cols(
+        [{k - n: e for k, e in H[c].items() if k >= n} for c in range(n)], n)
 
 
 class FgAbGroup:
@@ -763,8 +756,8 @@ class FgAbGroup:
     def relation_lattice(self) -> HermiteBasis:
         """The lattice the relations span, in reduced Hermite form."""
         if self._lattice is None:
-            self._lattice = HermiteBasis(
-                _hermite([_sparse(r) for r in self.relations.data]))
+            self._lattice = HermiteBasis.spanned_by(
+                map(_sparse, self.relations.data), self.ngens)
         return self._lattice
 
     def is_relation(self, vec: Sequence[int]) -> bool:
@@ -907,11 +900,11 @@ def hom_concat(homs: Sequence[GroupHom]) -> GroupHom:
 def hom_kernel(f: GroupHom) -> tuple:
     """(kernel group, inclusion hom into the source)."""
     f.require_well_defined()
-    P = preimage_lattice(f.matrix, f.target.relation_cols())
+    P = _kernel_lattice(f)
     # impossible for a well-defined hom
     group = _presented_in(P, f.source.relations.data, RuntimeError(
         "source relation escaped the kernel lattice"))
-    return group, GroupHom(group, f.source, P)
+    return group, GroupHom(group, f.source, P.as_columns())
 
 
 def hom_image(f: GroupHom) -> tuple:
@@ -920,7 +913,7 @@ def hom_image(f: GroupHom) -> tuple:
     Q = _image_lattice(f)
     group = _presented_in(Q, f.target.relations.data, RuntimeError(
         "target relation escaped the image lattice"))
-    return group, GroupHom(group, f.target, Q)
+    return group, GroupHom(group, f.target, Q.as_columns())
 
 
 def hom_cokernel(f: GroupHom) -> tuple:
@@ -954,12 +947,12 @@ class ExactnessResult:
         return f"ExactnessResult(failed: {self.reason}, witness={self.witness})"
 
 
-def _image_lattice(f: GroupHom) -> IntMatrix:
-    return lattice_basis(hstack([f.matrix, f.target.relation_cols()]))
+def _image_lattice(f: GroupHom) -> HermiteBasis:
+    return hnf_rows(vstack([f.matrix.transpose(), f.target.relations]))
 
 
-def _kernel_lattice(g: GroupHom) -> IntMatrix:
-    return preimage_lattice(g.matrix, g.target.relation_cols())
+def _kernel_lattice(g: GroupHom) -> HermiteBasis:
+    return preimage_lattice(g.matrix, g.target.relation_lattice())
 
 
 def composite_is_zero(f: GroupHom, g: GroupHom) -> Optional[tuple]:
@@ -977,10 +970,10 @@ def kernel_in_image(f: GroupHom, g: GroupHom) -> Optional[tuple]:
     """None when ker g is contained in im f; otherwise an unhit kernel generator."""
     if f.target != g.source:
         raise ValueError("maps do not compose")
-    img = HermiteBasis.of_columns(_image_lattice(f))
-    for c in _kernel_lattice(g).columns():
-        if not img.contains(_sparse(c)):
-            return c
+    img = _image_lattice(f)
+    for v in _kernel_lattice(g).rows.values():
+        if not img.contains(v):
+            return tuple(v.get(i, 0) for i in range(g.source.ngens))
     return None
 
 
@@ -1009,35 +1002,35 @@ def is_isomorphism(f: GroupHom) -> bool:
     return coker.is_trivial()
 
 
-def _presented_in(P: IntMatrix, vectors: Iterable[Sequence[int]],
+def _presented_in(P: HermiteBasis, vectors: Iterable[Sequence[int]],
                   escaped: Exception) -> FgAbGroup:
-    """The group on the columns of P, a basis in reduced column Hermite
-    form, with the coordinates of `vectors` as relations; raises
-    `escaped` when one of them is not in the lattice of P.  Coordinates
-    in a basis are unique, so triangular substitution finds them."""
-    basis = HermiteBasis.of_columns(P)
+    """The group on the basis vectors of P, with the coordinates of
+    `vectors` as relations; raises `escaped` when one of them is not in
+    P.  Coordinates in a basis are unique, so triangular substitution
+    finds them."""
     rel_rows = []
     for v in vectors:
-        x = basis.coords(_sparse(v))
+        x = P.coords(_sparse(v))
         if x is None:
             raise escaped
         rel_rows.append(x)
-    return FgAbGroup(P.cols, IntMatrix._of(tuple(rel_rows), len(rel_rows), P.cols))
+    n = len(P.rows)
+    return FgAbGroup(n, IntMatrix._of(tuple(rel_rows), len(rel_rows), n))
 
 
-def present_subquotient(ambient_dim: int, numerator: IntMatrix,
+def present_subquotient(ambient_dim: int, numerator: HermiteBasis,
                         denominator: IntMatrix) -> tuple:
-    """Present N/D for column lattices D <= N inside Z^ambient_dim.
+    """Present N/D for lattices D <= N inside Z^ambient_dim, with one
+    relation per column of `denominator`, in order.
 
-    Returns (group, basis) where basis columns are lattice representatives
-    of the group's generators.
+    Returns (group, basis) where basis columns, N's basis vectors, are
+    lattice representatives of the group's generators.
     """
-    if numerator.rows != ambient_dim or denominator.rows != ambient_dim:
+    if numerator.dim != ambient_dim or denominator.rows != ambient_dim:
         raise ValueError("lattice generators in the wrong ambient rank")
-    P = lattice_basis(numerator)
-    group = _presented_in(P, denominator.columns(), ValueError(
+    group = _presented_in(numerator, denominator.columns(), ValueError(
         "denominator lattice is not inside the numerator"))
-    return group, P
+    return group, numerator.as_columns()
 
 
 class QuotientExpresser:

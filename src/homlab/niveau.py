@@ -24,12 +24,13 @@ from typing import Dict, List, Optional, Tuple
 from .fga import (
     FgAbGroup,
     GroupHom,
+    HermiteBasis,
     IntMatrix,
     direct_sum,
     hom_concat,
     hom_stack,
     hstack,
-    modulus_columns,
+    lattice_basis,
     preimage_lattice,
     present_subquotient,
 )
@@ -54,7 +55,7 @@ class SpectralSequence:
     degree n - 1, and a page entry only on the keys of its three defining
     Z lattices.  Sharing invariant: entries at any pages and positions
     whose defining lattices are equal are the same HomologyEntry object.
-    Equal keys mean literally equal input matrices, so sharing changes no
+    Equal keys mean literally equal generator lists, so sharing changes no
     group, representative or differential.  All of it lives and dies with
     this object.
     """
@@ -72,8 +73,11 @@ class SpectralSequence:
             pair, modulus, -1, self.top + 1)
         self._dim = {n: len(b) for n, b in self.bases.items()}
         self._lkeys: Dict[Tuple[int, int], tuple] = {}
-        self._lattices: Dict[tuple, IntMatrix] = {}
-        self._zcache: Dict[tuple, IntMatrix] = {}
+        # the columns of each d_n, as sparse vectors
+        self._d = {n: [{i: e for i, e in enumerate(col) if e}
+                       for col in self.chains.differential(n).matrix.columns()]
+                   for n in range(self.top + 2)}
+        self._z: Dict[tuple, tuple] = {}
         self._hx: Dict[int, HomologyEntry] = {}
 
         self.grid: List[Tuple[int, int]] = []
@@ -108,10 +112,10 @@ class SpectralSequence:
             self.diffs[r] = diffs
 
     def _page_entry(self, n: int, znum, zup, zleft) -> HomologyEntry:
-        den = hstack([self.chains.differential(n + 1).matrix
-                      @ self.z_lattice(zup),
-                      self.z_lattice(zleft)])
-        return homology_entry(self.dim(n), self.z_lattice(znum), den)
+        den = ([_combine(self._d[n + 1], z) for z in self.z_lattice(zup)[0]]
+               + self.z_lattice(zleft)[0])
+        return homology_entry(self.dim(n), self.z_lattice(znum)[1],
+                              IntMatrix.from_sparse_cols(den, self.dim(n)))
 
     # -- lattices ------------------------------------------------------------
 
@@ -129,53 +133,33 @@ class SpectralSequence:
             self._lkeys[(p, n)] = key
         return key
 
-    def lattice(self, key: tuple) -> IntMatrix:
-        """Columns spanning the F_p chains in C_n, with modulus padding,
-        from the key of L_p in degree n."""
-        cached = self._lattices.get(key)
-        if cached is not None:
-            return cached
-        n, indices = key
-        dim = self.dim(n)
-        cols = []
-        for i in indices:
-            col = [0] * dim
-            col[i] = 1
-            cols.append(col)
-        L = hstack([IntMatrix.from_cols(cols, dim),
-                    modulus_columns(self.modulus, dim)])
-        self._lattices[key] = L
-        return L
-
-    def zkey(self, r: int, p: int, q: int):
-        """Key of Z^r_{p,q}: the pair of lattice keys it depends on.
-
-        None outside the chain degrees, and (key of L_p, None) for r <= 0,
-        where Z^r_{p,q} is L_p itself.
-        """
+    def zkey(self, r: int, p: int, q: int) -> tuple:
+        """Key of Z^r_{p,q}: the pair of lattice keys it depends on, and
+        (key of L_p, None) for r <= 0, where Z^r_{p,q} is L_p itself."""
         n = p + q
-        if n < -1 or n > self.top + 1:
-            return None
         if r <= 0:
             return (self.lattice_key(p, n), None)
         return (self.lattice_key(p, n), self.lattice_key(p - r, n - 1))
 
-    def z_lattice(self, zkey) -> IntMatrix:
-        """Z^r_{p,q} = {x in L_p : dx in L_{p-r}}, from its key."""
-        if zkey is None:
-            return IntMatrix.zeros(0, 0)
-        lkey, below = zkey
-        if below is None:
-            return self.lattice(lkey)
-        cached = self._zcache.get(zkey)
-        if cached is not None:
-            return cached
-        L = self.lattice(lkey)
-        pre = preimage_lattice(self.chains.differential(lkey[0]).matrix @ L,
-                               self.lattice(below))
-        Z = L @ pre
-        self._zcache[zkey] = Z
-        return Z
+    def z_lattice(self, zkey) -> tuple:
+        """Z^r_{p,q} = {x in L_p : dx in L_{p-r}} from its key, as (sparse
+        generators, HermiteBasis).  L_p's generators are the unit vectors
+        at its indices, then m times every unit vector; for r > 0 they are
+        L_p·pre, with pre the kernel of d·L_p relative to L_{p-r}.  Both
+        products only re-index."""
+        cached = self._z.get(zkey)
+        if cached is None:
+            (n, indices), below = zkey
+            gens = [{i: 1} for i in indices]
+            if self.modulus:
+                gens += [{i: self.modulus} for i in range(self.dim(n))]
+            if below is not None:
+                pre = preimage_lattice([_combine(self._d[n], g) for g in gens],
+                                       self.z_lattice((below, None))[1])
+                gens = [_combine(gens, x) for x in pre.rows.values()]
+            cached = self._z[zkey] = (
+                gens, HermiteBasis.spanned_by(gens, self.dim(n)))
+        return cached
 
     # -- page access ----------------------------------------------------------
 
@@ -213,6 +197,15 @@ class SpectralSequence:
         return entry
 
 
+def _combine(cols: list, coeffs: dict) -> dict:
+    """The sum of coeffs[t] * cols[t] over sparse vectors."""
+    out = {}
+    for t, a in coeffs.items():
+        for k, e in cols[t].items():
+            out[k] = out.get(k, 0) + a * e
+    return {k: e for k, e in out.items() if e}
+
+
 def run_pages(filtration: Filtration, modulus: int = 0) -> SpectralSequence:
     return SpectralSequence(filtration, modulus)
 
@@ -243,8 +236,8 @@ def niveau_filtration(spec: SpectralSequence) -> NiveauData:
     for n in range(spec.top + 1):
         dim = spec.dim(n)
         homology[n] = spec.base_homology(n)[0].iso_invariants()
-        den = hstack([spec.chains.differential(n + 1).matrix,
-                      spec.chains.group(n).relation_cols()])
+        den = lattice_basis(hstack([spec.chains.differential(n + 1).matrix,
+                                    spec.chains.group(n).relation_cols()]))
         lattices = {None: den}  # None: the boundaries alone
         invariants = {}
 
@@ -252,7 +245,8 @@ def niveau_filtration(spec: SpectralSequence) -> NiveauData:
             inv = invariants.get((key, below))
             if inv is None:
                 inv = present_subquotient(
-                    dim, lattices[key], lattices[below])[0].iso_invariants()
+                    dim, lattices[key],
+                    lattices[below].as_columns())[0].iso_invariants()
                 invariants[(key, below)] = inv
             return inv
 
@@ -260,7 +254,9 @@ def niveau_filtration(spec: SpectralSequence) -> NiveauData:
         for p in range(spec.d_len + 1):
             key = spec.zkey(p + 1, p, n - p)
             if key not in lattices:
-                lattices[key] = hstack([spec.z_lattice(key), den])
+                lattices[key] = HermiteBasis.spanned_by(
+                    [*spec.z_lattice(key)[1].rows.values(), *den.rows.values()],
+                    dim)
             subgroup[(p, n)] = present(key, None)
             graded[(p, n)] = present(key, prev)
             prev = key

@@ -36,13 +36,19 @@ from homlab.fga import (
     hstack,
     kernel,
     lattice_basis,
-    modulus_columns,
     preimage_lattice,
     present_subquotient,
 )
 from homlab.logic import Add, And, App, EvalResult, Eq, Exists, Neg, Top, Var, Zero
 from homlab.model import relative_chain_complex
 from homlab.simp import SimpPair, SimplicialComplex
+
+
+def modulus_columns(m, dim):
+    """Columns generating m*Z^dim; no columns at all for m = 0 (integers)."""
+    if m == 0:
+        return IntMatrix.zeros(dim, 0)
+    return IntMatrix.identity(dim).scaled(m)
 
 
 def minor_gcd_invariants(rows):
@@ -305,7 +311,8 @@ def reference_commutant_lattice(T, F):
         offsets.append(total)
         total += n * n
     index = {d: i for i, d in enumerate(nodes)}
-    lat = [lattice_basis(T.groups[d].relation_cols()) for d in nodes]
+    lat = [lattice_basis(T.groups[d].relation_cols()).as_columns()
+           for d in nodes]
 
     def evar(di, k, i):
         return offsets[di] + k * sizes[di] + i
@@ -351,8 +358,8 @@ def reference_commutant_lattice(T, F):
                 rows.append(row)
     A = IntMatrix([[r.get(c, 0) for c in range(aux)] for r in rows],
                   len(rows), aux)
-    K = kernel(A)
-    return lattice_basis(IntMatrix(K.data[:total], total, K.cols))
+    K = kernel(A).as_columns()
+    return lattice_basis(IntMatrix(K.data[:total], total, K.cols)).as_columns()
 
 
 def dense_apply(A, vec):
@@ -475,7 +482,8 @@ def reference_pages(filtration, modulus=0):
             return lattice(p, n)
         L = lattice(p, n)
         return L @ preimage_lattice(chains.differential(n).matrix @ L,
-                                    lattice(p - r, n - 1))
+                                    lattice_basis(lattice(p - r, n - 1))
+                                    ).as_columns()
 
     grid = sorted((p, n - p) for p in range(d_len + 1)
                   for n in range(min(p, top) + 1))
@@ -487,7 +495,8 @@ def reference_pages(filtration, modulus=0):
             den = hstack([chains.differential(n + 1).matrix
                           @ z(r - 1, p + r - 1, q - r + 2),
                           z(r - 1, p - 1, q + 1)])
-            group, reps = present_subquotient(dim(n), z(r, p, q), den)
+            group, reps = present_subquotient(dim(n), lattice_basis(z(r, p, q)),
+                                              den)
             entries[(p, q)] = (group, reps, QuotientExpresser(reps, den))
         pages[r] = {pq: (g.relations, reps)
                     for pq, (g, reps, _) in entries.items()}
@@ -510,14 +519,15 @@ def reference_pages(filtration, modulus=0):
         den = hstack([chains.differential(n + 1).matrix,
                       chains.group(n).relation_cols()])
         d_n = chains.differential(n)
-        cycles = preimage_lattice(d_n.matrix, d_n.target.relation_cols())
+        cycles = preimage_lattice(d_n.matrix,
+                                  lattice_basis(d_n.target.relation_cols()))
         homology[n] = present_subquotient(dim(n), cycles, den)[0].iso_invariants()
         prev = den
         for p in range(d_len + 1):
             zp = hstack([z(p + 1, p, n - p), den])
             subgroup[(p, n)] = present_subquotient(
-                dim(n), zp, den)[0].iso_invariants()
+                dim(n), lattice_basis(zp), den)[0].iso_invariants()
             graded[(p, n)] = present_subquotient(
-                dim(n), zp, prev)[0].iso_invariants()
+                dim(n), lattice_basis(zp), prev)[0].iso_invariants()
             prev = zp
     return pages, diffs, homology, subgroup, graded

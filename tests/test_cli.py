@@ -282,6 +282,14 @@ def test_missing_file_exits_two(tmp_path):
     assert main([str(tmp_path / "nope.hwb")]) == 2
 
 
+def test_file_not_utf8_exits_two(tmp_path, capsys):
+    src = tmp_path / "in.hwb"
+    src.write_bytes(b"complex X = {ab}\n\xff\xfe\nvalidate\n")
+    assert main([str(src)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_bad_flags_exit_two(tmp_path):
     src = tmp_path / "in.hwb"
     src.write_text("validate\n")

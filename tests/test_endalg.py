@@ -381,8 +381,9 @@ def test_commutant_lattice_matches_reference(monkeypatch):
     found = []
 
     def spy(A, L=None):
-        found.append(kernel(A, L))
-        return found[-1]
+        K = kernel(A, L)
+        found.append(K.as_columns())
+        return K
     monkeypatch.setattr(endalg, "kernel", spy)
     checked = 0
     for T in _representations():

@@ -12,7 +12,6 @@ from homlab.fga import (
     CanonicalForm,
     FgAbGroup,
     GroupHom,
-    HermiteBasis,
     IllDefinedHomError,
     IntMatrix,
     LinearSolver,
@@ -29,10 +28,8 @@ from homlab.fga import (
     hstack,
     kernel,
     lattice_basis,
-    modulus_columns,
     preimage_lattice,
     present_subquotient,
-    rank,
     same_lattice,
     smith,
     solve,
@@ -46,6 +43,7 @@ from oracles import (
     dense_solve,
     frac_nullity,
     minor_gcd_invariants,
+    modulus_columns,
     quotient_invariants,
     reference_hnf_rows,
     reference_kernel,
@@ -149,7 +147,7 @@ def test_kernel_and_solve():
     for _ in range(40):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         A = random_matrix(rng, m, n, -5, 5)
-        K = kernel(A)
+        K = kernel(A).as_columns()
         assert (A @ K).is_zero()
         assert K.cols == frac_nullity([list(r) for r in A.data], n)
         x0 = [rng.randint(-4, 4) for _ in range(n)]
@@ -248,7 +246,7 @@ def test_hnf_canonical_for_lattice():
     for _ in range(25):
         n, k = rng.randint(1, 4), rng.randint(1, 4)
         G = random_matrix(rng, n, k, -5, 5)
-        B = lattice_basis(G)
+        B = lattice_basis(G).as_columns()
         assert same_lattice(G, B)
         # shuffling and recombining generators must not move the basis
         cols = G.columns()
@@ -256,7 +254,7 @@ def test_hnf_canonical_for_lattice():
         if len(cols) >= 2:
             cols[0] = tuple(a + 3 * b for a, b in zip(cols[0], cols[1]))
         G2 = IntMatrix.from_cols(cols, n)
-        assert lattice_basis(G2) == B or not same_lattice(G, G2)
+        assert lattice_basis(G2).as_columns() == B or not same_lattice(G, G2)
 
 
 def test_unimodular_inverse():
@@ -439,18 +437,19 @@ def test_direct_sum_invariants():
 def test_present_subquotient():
     num = IntMatrix.identity(2)
     den = IntMatrix([[2, 0], [0, 3]])
-    g, basis = present_subquotient(2, num, den)
+    g, basis = present_subquotient(2, lattice_basis(num), den)
     assert g.iso_invariants() == (0, (6,))
     assert basis.cols == 2
     with pytest.raises(ValueError):
-        present_subquotient(2, IntMatrix([[2, 0], [0, 2]]), IntMatrix([[1], [0]]))
+        present_subquotient(2, lattice_basis(IntMatrix([[2, 0], [0, 2]])),
+                            IntMatrix([[1], [0]]))
 
 
 def test_preimage_lattice():
     # {x in Z^2 : M x in 3Z^2} for M = [[1,0],[0,2]]
     M = IntMatrix([[1, 0], [0, 2]])
     L = IntMatrix.identity(2).scaled(3)
-    P = preimage_lattice(M, L)
+    P = preimage_lattice(M, lattice_basis(L)).as_columns()
     assert same_lattice(P, IntMatrix([[3, 0], [0, 3]]))
 
 
@@ -482,12 +481,12 @@ def test_is_isomorphism():
 
 
 def test_rank_helper():
-    assert rank(IntMatrix([[2, 4], [6, 8]])) == 2
-    assert rank(IntMatrix.zeros(3, 2)) == 0
+    assert smith(IntMatrix([[2, 4], [6, 8]])).rank == 2
+    assert smith(IntMatrix.zeros(3, 2)).rank == 0
 
 
 def test_hnf_rows_shape():
-    H = hnf_rows(IntMatrix([[0, 0], [4, 2]]))
+    H = hnf_rows(IntMatrix([[0, 0], [4, 2]])).as_columns().transpose()
     assert H.rows == 1
     got = hstack([H, H])
     assert got.rows == 1
@@ -604,15 +603,15 @@ def lattice_cases(rng):
 
 def test_hnf_rows_matches_reference():
     for A in lattice_cases(random.Random(1723)):
-        H = hnf_rows(A)
+        H = hnf_rows(A).as_columns().transpose()
         assert H == reference_hnf_rows(A)
-        assert lattice_basis(A) == reference_lattice_basis(A)
+        assert lattice_basis(A).as_columns() == reference_lattice_basis(A)
 
 
 def test_kernel_matches_reference():
     # the kernel is now the canonical basis of the reference kernel lattice
     for A in lattice_cases(random.Random(1709)):
-        K = kernel(A)
+        K = kernel(A).as_columns()
         assert K == reference_lattice_basis(reference_kernel(A))
         assert K.rows == A.cols and (A @ K).is_zero()
         assert K.cols == frac_nullity([list(r) for r in A.data], A.cols)
@@ -627,7 +626,7 @@ def test_preimage_lattice_matches_reference():
             M = sparse_matrix(rng, m, n, rng.choice(DENSITIES), 4)
             L = hstack([sparse_matrix(rng, m, rng.randint(0, 4), 0.3, 3),
                         modulus_columns(modulus, m)])
-            P = preimage_lattice(M, L)
+            P = preimage_lattice(M, lattice_basis(L)).as_columns()
             assert P == reference_preimage_lattice(M, L)
             assert P.rows == n
     # L with no columns, L with more columns than its rank (at most 2 of
@@ -637,7 +636,7 @@ def test_preimage_lattice_matches_reference():
         B = sparse_matrix(rng, m, 2, 1.0, 3)
         for L in (IntMatrix.zeros(m, 0), hstack([B, B @ mix])):
             for M in (sparse_matrix(rng, m, n, 0.3, 4), IntMatrix.zeros(m, 0)):
-                P = preimage_lattice(M, L)
+                P = preimage_lattice(M, lattice_basis(L)).as_columns()
                 assert P == reference_preimage_lattice(M, L)
                 assert P.rows == M.cols
 
@@ -652,12 +651,13 @@ def smith_invariants(R):
 @settings(max_examples=150, deadline=None)
 @given(small_matrices)
 def test_hermite_layer_matches_reference_property(A):
-    assert hnf_rows(A) == reference_hnf_rows(A)
-    assert kernel(A) == reference_lattice_basis(reference_kernel(A))
+    assert hnf_rows(A).as_columns().transpose() == reference_hnf_rows(A)
+    assert kernel(A).as_columns() == reference_lattice_basis(reference_kernel(A))
     half = A.cols // 2
     M = IntMatrix([r[:half] for r in A.data], A.rows, half)
     L = IntMatrix([r[half:] for r in A.data], A.rows, A.cols - half)
-    assert preimage_lattice(M, L) == reference_preimage_lattice(M, L)
+    assert preimage_lattice(M, lattice_basis(L)).as_columns() == \
+        reference_preimage_lattice(M, L)
     assert FgAbGroup(A.cols, A).iso_invariants() == smith_invariants(A)
 
 
@@ -683,8 +683,8 @@ def test_membership_and_coordinates_match_dense_solve():
     rng = random.Random(1759)
     outcomes = set()
     for G in lattice_cases(rng):
-        P = lattice_basis(G)
-        basis = HermiteBasis.of_columns(P)
+        basis = lattice_basis(G)
+        P = basis.as_columns()
         group = FgAbGroup(G.rows, G.transpose())
         for _ in range(4):
             inside = P.apply(sparse_vector(rng, P.cols, 0.5, 4))
@@ -697,6 +697,34 @@ def test_membership_and_coordinates_match_dense_solve():
     assert outcomes == {True, False}
 
 
+def test_expresser_and_hermite_coordinates_differ_by_a_relation():
+    # QuotientExpresser solves [P | D] by a Smith form, the numerator's
+    # HermiteBasis by triangular substitution; the two may pick different
+    # coordinates, but only by a relation of N/D, so the CanonicalForm
+    # coordinates that reports read are the same
+    rng = random.Random(1777)
+    differ = 0
+    for modulus in (0, 2, 3, 6):
+        for _ in range(60):
+            dim = rng.randint(1, 5)
+            G = sparse_matrix(rng, dim, rng.randint(1, 5), rng.choice(DENSITIES), 4)
+            pad = modulus_columns(modulus, dim)
+            N = lattice_basis(hstack([G, pad]))
+            P = N.as_columns()
+            D = hstack([P @ random_matrix(rng, P.cols, rng.randint(0, 4), -3, 3), pad])
+            group, reps = present_subquotient(dim, N, D)
+            assert reps == P
+            expresser, canon = QuotientExpresser(reps, D), CanonicalForm(group)
+            for _ in range(5):
+                v = P.apply(sparse_vector(rng, P.cols, 0.7, 5))
+                a = expresser.express(v)
+                b = N.coords({i: e for i, e in enumerate(v) if e})
+                assert group.is_relation([x - y for x, y in zip(a, b)])
+                assert canon.coords(a) == canon.coords(b)
+                differ += a != b
+    assert differ > 0
+
+
 def test_sparse_readers_build_no_dense_transforms(monkeypatch):
     import homlab.fga as fga
     made = []
@@ -704,8 +732,8 @@ def test_sparse_readers_build_no_dense_transforms(monkeypatch):
     monkeypatch.setattr(fga, "smith", lambda A: made.append(real(A)) or made[-1])
     A = IntMatrix([[2, 4, 4], [-6, 6, 12], [-4, 10, 16]])
     assert LinearSolver(A).solve(A.apply((1, -2, 3))) is not None
-    assert (A @ kernel(A)).is_zero()
-    assert rank(A) == 2
+    assert (A @ kernel(A).as_columns()).is_zero()
+    assert fga.smith(A).rank == 2
     assert len(made) == 2  # the kernel comes from a Hermite form
     assert all(s._U is None and s._D is None and s._V is None for s in made)
 
