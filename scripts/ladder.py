@@ -20,6 +20,13 @@ the 3 x 3 torus diagram at Z and Z/2, whose cost is one relative kernel
 and the Smith forms of its presentation.  Each of these lines ends with the first
 16 hex digits of the sha256 of the report.
 
+Dense Smith rungs (`smith/dense28`, `smith/dense30`, `smith/dense32`)
+time `homlab.fga.smith` on one n x n matrix drawn row by row from
+`random.Random(n)` with entries in [-9, 9], past the sizes perfbench's
+`smith_dense` reaches.  Each line gives the largest bit length of an
+entry of U and V and the first 16 hex digits of the sha256 of the
+diagonal of D as JSON.
+
 So two checkouts can be compared for identical results as well as for
 time.
 """
@@ -29,6 +36,7 @@ import hashlib
 import io
 import itertools
 import json
+import random
 import sys
 import tempfile
 import time
@@ -37,6 +45,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from homlab.cli import main as cli_main  # noqa: E402
+from homlab.fga import IntMatrix, smith  # noqa: E402
 from homlab.niveau import run_pages, spectral_summary  # noqa: E402
 from homlab.simp import Filtration, SimplicialComplex  # noqa: E402
 
@@ -109,6 +118,8 @@ CLI_RUNGS = {
     "end-algebra/torus3/Z2": (TORUS3, ["--coeff", "Zmod2"]),
 }
 
+SMITH_SIZES = (28, 30, 32)
+
 
 def run_rung(name: str, modulus: int, facets: list) -> dict:
     nverts = 1 + max(v for f in facets for v in f)
@@ -139,11 +150,26 @@ def run_cli(name: str, text: str, flags: list) -> dict:
             "digest": digest.hexdigest()[:16]}
 
 
+def run_smith(name: str, n: int) -> dict:
+    rng = random.Random(n)
+    A = IntMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+    t0 = time.perf_counter()
+    dec = smith(A)
+    t1 = time.perf_counter()
+    bits = max(abs(e).bit_length()
+               for M in (dec.U, dec.V) for row in M.data for e in row)
+    digest = hashlib.sha256(json.dumps(list(dec.diagonal())).encode())
+    return {"rung": name, "smith_s": round(t1 - t0, 3), "max_bits": bits,
+            "digest": digest.hexdigest()[:16]}
+
+
 def main(argv: list) -> int:
     rungs = {f"{c}/{m}": lambda c=c, m=m: run_rung(f"{c}/{m}", MODULI[m], COMPLEXES[c]())
              for c in COMPLEXES for m in MODULI}
     rungs.update({name: lambda name=name: run_cli(name, *CLI_RUNGS[name])
                   for name in CLI_RUNGS})
+    rungs.update({f"smith/dense{n}": lambda n=n: run_smith(f"smith/dense{n}", n)
+                  for n in SMITH_SIZES})
     unknown = set(argv) - set(rungs)
     if unknown:
         print(f"unknown rungs: {sorted(unknown)}", file=sys.stderr)

@@ -7,7 +7,6 @@ inputs produce byte-identical output.  Timing goes to stderr.  Exit codes:
 """
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import re
@@ -77,11 +76,11 @@ def _parse_flavors(text: str) -> tuple:
 
 def _build_diagram(ws):
     """The declared diagram, with every declared complex as an absolute
-    node too; `ws` is left as parsed."""
+    node too."""
     d = ws.diagram
-    absolute = [(name, EMPTY_NAME)
-                for name in sorted(d.complexes.keys() - {EMPTY_NAME})]
-    return dataclasses.replace(d, pairs=absolute + d.pairs).build()
+    for name in sorted(d.complexes.keys() - {EMPTY_NAME}):
+        d.add_pair(name)
+    return d.build()
 
 
 def _filtration(ws, fname: str) -> Filtration:
@@ -155,8 +154,11 @@ def _cmd_sequent(ws, modulus, window):
     results = []
     ok = True
     for name in sorted(ws.sequents):
-        seq = resolve_zeros(ws.sequents[name], sig)
-        check_sequent(sig, seq)
+        try:
+            seq = resolve_zeros(ws.sequents[name], sig)
+            check_sequent(sig, seq)
+        except ValueError as exc:
+            raise ValueError(f"sequent {name!r}: {exc}") from exc
         outcome = eval_sequent(structure, seq)
         row = {"sequent": name, "valid": outcome.valid, "counterexample": None}
         if not outcome.valid:

@@ -3,8 +3,8 @@
 One statement per line, comments from `#` to the end of the line.
 Declarations build complexes, vertex maps, diagram parts, filtrations and
 named sequents; exactly one command statement picks what to run.  Cross
-references resolve while parsing, and each diagram statement goes
-through the diagram builder's own checks (`simp.DiagramAssembly`) as it
+references resolve while parsing, and each diagram statement is added
+to the diagram builder (`simp.DiagramBuilder`), which checks it, as it
 is read, so every error carries the line and column it came from.
 
     complex S1 = {01, 12, 02}
@@ -33,7 +33,6 @@ from .logic import (
 )
 from .simp import (
     EMPTY_NAME,
-    DiagramAssembly,
     DiagramBuilder,
     Filtration,
     SimpPair,
@@ -95,10 +94,10 @@ def tokenize(text: str) -> List[List[Token]]:
 @dataclass
 class WorkbenchSpec:
     """Everything a run needs, fully cross-checked at parse time: each
-    diagram declaration has passed the checks `DiagramAssembly` runs when
-    the diagram is built.
+    diagram declaration has been added to `diagram`, which checks it.
 
-    `diagram` holds the complexes and diagram declarations in file order;
+    `diagram` holds the complexes and diagram declarations in file order,
+    and the diagram they assemble;
     `map_names` gives the map each edge, square map and cube was declared
     with.  The other dicts are keyed by name.  The command is a tuple like
     ("cellular", "F") or ("validate",).
@@ -161,18 +160,16 @@ def parse(text: str) -> WorkbenchSpec:
     # names of diagram parts (edges, triples, squares, square maps, cubes),
     # which share one namespace apart from the complexes
     parts = set()
-    # the diagram so far, with the complexes and edges it generated
-    asm = DiagramAssembly(ws.diagram.complexes)
     for row in rows:
-        _parse_statement(_Parser(row), ws, parts, asm)
+        _parse_statement(_Parser(row), ws, parts)
     if ws.command is None:
         last = rows[-1][-1].line if rows else 1
         raise DslError(last, 1, "no command statement")
     return ws
 
 
-def _claim_complex(asm, tok):
-    if tok.text in asm.complexes:
+def _claim_complex(ws, tok):
+    if tok.text in ws.diagram.assembled.complexes:
         if tok.text == EMPTY_NAME:
             msg = "0 names the empty complex and cannot be redeclared"
         else:
@@ -216,7 +213,7 @@ def _pair_ref(p: _Parser, ws) -> Tuple[str, str]:
 
 
 def _assemble(tok: Token, step, *args) -> None:
-    """Run one DiagramAssembly step; its ValueError is located at tok."""
+    """Run one DiagramBuilder step; its ValueError is located at tok."""
     try:
         step(*args)
     except ValueError as exc:
@@ -230,14 +227,13 @@ def _vertex(p: _Parser) -> Token:
     return tok
 
 
-def _parse_statement(p: _Parser, ws: WorkbenchSpec, parts: set,
-                     asm: DiagramAssembly):
+def _parse_statement(p: _Parser, ws: WorkbenchSpec, parts: set):
     head = p.ident("a statement keyword")
     word = head.text
 
     if word == "complex":
         name = p.ident("a complex name")
-        _claim_complex(asm, name)
+        _claim_complex(ws, name)
         p.expect("=")
         p.expect("{")
         simplices = []
@@ -259,7 +255,6 @@ def _parse_statement(p: _Parser, ws: WorkbenchSpec, parts: set,
         p.done()
         cx = SimplicialComplex.from_maximal_simplices(simplices)
         ws.diagram.add_complex(name.text, cx)
-        asm.complexes[name.text] = cx
         return
 
     if word == "map":
@@ -293,14 +288,12 @@ def _parse_statement(p: _Parser, ws: WorkbenchSpec, parts: set,
         pair = _pair_ref(p, ws)
         p.done()
         ws.diagram.add_pair(*pair)
-        asm.pair(*pair)
         return
 
     if word == "prism":
         pair = _pair_ref(p, ws)
         p.done()
         ws.diagram.add_prism(*pair)
-        asm.prism(*pair)
         return
 
     if word == "edge":
@@ -314,8 +307,7 @@ def _parse_statement(p: _Parser, ws: WorkbenchSpec, parts: set,
         mtok = p.ident("a map name")
         vmap = _get_map(ws, mtok)
         p.done()
-        ws.diagram.add_edge(name.text, src, tgt, vmap)
-        _assemble(mtok, asm.edge, name.text, src, tgt, vmap)
+        _assemble(mtok, ws.diagram.add_edge, name.text, src, tgt, vmap)
         ws.map_names[name.text] = mtok.text
         return
 
@@ -333,8 +325,8 @@ def _parse_statement(p: _Parser, ws: WorkbenchSpec, parts: set,
         p.done()
         for t in (x, y, z):
             _get_complex(ws, t)
-        ws.diagram.add_triple(name.text, x.text, y.text, z.text)
-        _assemble(name, asm.triple, name.text, x.text, y.text, z.text)
+        _assemble(name, ws.diagram.add_triple, name.text, x.text, y.text,
+                  z.text)
         return
 
     if word == "square":
@@ -349,8 +341,8 @@ def _parse_statement(p: _Parser, ws: WorkbenchSpec, parts: set,
         p.done()
         for t in (u, v, x):
             _get_complex(ws, t)
-        ws.diagram.add_square(name.text, x.text, u.text, v.text)
-        _assemble(name, asm.square, name.text, x.text, u.text, v.text)
+        _assemble(name, ws.diagram.add_square, name.text, x.text, u.text,
+                  v.text)
         return
 
     if word == "squaremap":
@@ -364,11 +356,11 @@ def _parse_statement(p: _Parser, ws: WorkbenchSpec, parts: set,
         mtok = p.ident("a map name")
         p.done()
         for t in (src, tgt):
-            if t.text not in asm.squares:
+            if t.text not in ws.diagram.assembled.squares:
                 raise DslError(t.line, t.col, f"unknown square {t.text!r}")
         vmap = _get_map(ws, mtok)
-        ws.diagram.add_square_map(name.text, src.text, tgt.text, vmap)
-        _assemble(mtok, asm.square_map, name.text, src.text, tgt.text, vmap)
+        _assemble(mtok, ws.diagram.add_square_map, name.text, src.text,
+                  tgt.text, vmap)
         ws.map_names[name.text] = mtok.text
         return
 
@@ -383,11 +375,11 @@ def _parse_statement(p: _Parser, ws: WorkbenchSpec, parts: set,
         mtok = p.ident("a map name")
         p.done()
         for t in (src, tgt):
-            if t.text not in asm.triples:
+            if t.text not in ws.diagram.assembled.triples:
                 raise DslError(t.line, t.col, f"unknown triple {t.text!r}")
         vmap = _get_map(ws, mtok)
-        ws.diagram.add_cube(name.text, src.text, tgt.text, vmap)
-        _assemble(mtok, asm.cube, name.text, src.text, tgt.text, vmap)
+        _assemble(mtok, ws.diagram.add_cube, name.text, src.text, tgt.text,
+                  vmap)
         ws.map_names[name.text] = mtok.text
         return
 
@@ -429,7 +421,7 @@ def _parse_statement(p: _Parser, ws: WorkbenchSpec, parts: set,
         if name.text in ws.sequents:
             p.error("sequent name already declared", name)
         p.expect("=")
-        seq = _parse_sequent_body(p, asm.complexes)
+        seq = _parse_sequent_body(p, ws.diagram.assembled.complexes)
         p.done()
         ws.sequents[name.text] = seq
         return

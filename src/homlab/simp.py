@@ -10,7 +10,7 @@ generates connecting maps and axiom instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 EMPTY_NAME = "0"
@@ -494,19 +494,19 @@ class PrismEdges:
 
 class PairDiagram:
     """Built diagram: nodes keyed by (total name, sub name), edges closed
-    under identities and the connecting factorization of every triple."""
+    under identities and the connecting factorization of every triple.
+    A DiagramBuilder fills it from empty."""
 
-    def __init__(self, complexes, nodes, edges, composites, triples, cubes,
-                 squares, square_maps, prisms):
+    def __init__(self, complexes: Dict[str, SimplicialComplex]):
         self.complexes = complexes
-        self.nodes = nodes
-        self.edges = edges
-        self.composites = composites
-        self.triples = triples
-        self.cubes = cubes
-        self.squares = squares
-        self.square_maps = square_maps
-        self.prisms = prisms
+        self.nodes: Dict[Tuple[str, str], SimpPair] = {}
+        self.edges: Dict[str, Edge] = {}
+        self.composites: List[Tuple[str, str, str]] = []
+        self.triples: Dict[str, Triple] = {}
+        self.cubes: Dict[str, Cube] = {}
+        self.squares: Dict[str, Square] = {}
+        self.square_maps: Dict[str, SquareMap] = {}
+        self.prisms: Dict[Tuple[str, str], PrismEdges] = {}
 
     def node_keys(self):
         return sorted(self.nodes)
@@ -519,83 +519,6 @@ class PairDiagram:
         return f"id:{key[0]}/{key[1]}"
 
 
-@dataclass
-class DiagramBuilder:
-    """The declarations of a pair diagram, in the order they were made.
-
-    `complexes` always maps `0` to the empty complex.  `build()` checks
-    the declarations against each other and returns the PairDiagram.
-    """
-
-    complexes: Dict[str, SimplicialComplex] = field(
-        default_factory=lambda: {EMPTY_NAME: SimplicialComplex.empty()})
-    pairs: List[Tuple[str, str]] = field(default_factory=list)
-    edges: List[tuple] = field(default_factory=list)        # (name, src pair, tgt pair, vmap)
-    triples: List[tuple] = field(default_factory=list)      # (name, x, y, z)
-    squares: List[tuple] = field(default_factory=list)      # (name, x, u, v)
-    square_maps: List[tuple] = field(default_factory=list)  # (name, src square, tgt square, vmap)
-    prisms: List[Tuple[str, str]] = field(default_factory=list)
-    cubes: List[tuple] = field(default_factory=list)        # (name, src triple, tgt triple, vmap)
-
-    def add_complex(self, name: str, cx: SimplicialComplex):
-        if name in self.complexes and self.complexes[name] != cx:
-            raise ValueError(f"complex name {name!r} already used")
-        self.complexes[name] = cx
-        return self
-
-    def add_pair(self, total: str, sub: str = EMPTY_NAME):
-        self.pairs.append((total, sub))
-        return self
-
-    def add_edge(self, name, src, tgt, vertex_map):
-        self.edges.append((name, tuple(src), tuple(tgt), dict(vertex_map)))
-        return self
-
-    def add_triple(self, name, x, y, z=EMPTY_NAME):
-        self.triples.append((name, x, y, z))
-        return self
-
-    def add_square(self, name, x, u, v):
-        self.squares.append((name, x, u, v))
-        return self
-
-    def add_square_map(self, name, src, tgt, vertex_map):
-        self.square_maps.append((name, src, tgt, dict(vertex_map)))
-        return self
-
-    def add_prism(self, total: str, sub: str = EMPTY_NAME):
-        self.prisms.append((total, sub))
-        return self
-
-    def add_cube(self, name, src_triple, tgt_triple, vertex_map):
-        self.cubes.append((name, src_triple, tgt_triple, dict(vertex_map)))
-        return self
-
-    def build(self) -> PairDiagram:
-        return build_diagram(self)
-
-
-def build_diagram(spec: DiagramBuilder) -> PairDiagram:
-    """Assemble the declarations of `spec` kind by kind: pairs, triples,
-    squares, edges, cubes, square maps, prisms."""
-    a = DiagramAssembly(spec.complexes)
-    for decl in spec.pairs:
-        a.pair(*decl)
-    for decl in spec.triples:
-        a.triple(*decl)
-    for decl in spec.squares:
-        a.square(*decl)
-    for decl in spec.edges:
-        a.edge(*decl)
-    for decl in spec.cubes:
-        a.cube(*decl)
-    for decl in spec.square_maps:
-        a.square_map(*decl)
-    for decl in spec.prisms:
-        a.prism(*decl)
-    return a.finish()
-
-
 def _restricted(vmap: Dict[str, str], cx: SimplicialComplex) -> Dict[str, str]:
     """vmap on the vertices of cx it has; PairMorphism names a missing one."""
     return {v: vmap[v] for v in cx.vertices if v in vmap}
@@ -605,135 +528,172 @@ def _inclusion(cx: SimplicialComplex) -> Dict[str, str]:
     return {v: v for v in cx.vertices}
 
 
-class DiagramAssembly:
-    """A PairDiagram built one declaration at a time.
+@dataclass(init=False)
+class DiagramBuilder:
+    """A pair diagram built one declaration at a time.
 
-    Each method adds one declaration's nodes, edges and generated
-    complexes, checks them against what came before and raises
-    ValueError with the reason.  `finish` adds the identity edges, checks
-    the composites and returns the diagram.
+    Each `add_*` checks its declaration against what came before and
+    raises ValueError with the reason.  Otherwise it adds the nodes, edges
+    and generated complexes to `assembled`, the diagram so far, and
+    records the declaration in its list, in the order made.  `complexes`
+    holds the declared complexes and always maps `0` to the empty
+    complex; `assembled.complexes` also holds the ones squares and prisms
+    generated.  Equality compares `complexes` and the lists.  `build()`,
+    called once, adds the identity edges, checks the composites and
+    returns the diagram.
     """
 
-    def __init__(self, complexes: Dict[str, SimplicialComplex]):
-        self.complexes = dict(complexes)
-        self.complexes.setdefault(EMPTY_NAME, SimplicialComplex.empty())
-        self.nodes: Dict[Tuple[str, str], SimpPair] = {}
-        self.edges: Dict[str, Edge] = {}
-        self.composites: List[Tuple[str, str, str]] = []
-        self.triples: Dict[str, Triple] = {}
-        self.cubes: Dict[str, Cube] = {}
-        self.squares: Dict[str, Square] = {}
-        self.square_maps: Dict[str, SquareMap] = {}
-        self.prisms: Dict[Tuple[str, str], PrismEdges] = {}
+    complexes: Dict[str, SimplicialComplex]
+    pairs: List[Tuple[str, str]]
+    edges: List[tuple]        # (name, src pair, tgt pair, vmap)
+    triples: List[tuple]      # (name, x, y, z)
+    squares: List[tuple]      # (name, x, u, v)
+    square_maps: List[tuple]  # (name, src square, tgt square, vmap)
+    prisms: List[Tuple[str, str]]
+    cubes: List[tuple]        # (name, src triple, tgt triple, vmap)
+
+    def __init__(self):
+        self.complexes = {EMPTY_NAME: SimplicialComplex.empty()}
+        self.pairs, self.edges, self.triples, self.squares = [], [], [], []
+        self.square_maps, self.prisms, self.cubes = [], [], []
+        self.assembled = PairDiagram(dict(self.complexes))
 
     def _get(self, name: str) -> SimplicialComplex:
-        if name not in self.complexes:
+        if name not in self.assembled.complexes:
             raise ValueError(f"unknown complex {name!r}")
-        return self.complexes[name]
+        return self.assembled.complexes[name]
 
     def _generate(self, base: str, cx: SimplicialComplex) -> str:
         """Store a generated complex under base, or base with `+`s if
         that name is taken."""
         name = base
-        while name in self.complexes:
+        while name in self.assembled.complexes:
             name = name + "+"
-        self.complexes[name] = cx
+        self.assembled.complexes[name] = cx
         return name
 
-    def _add_edge(self, name, src_key, tgt_key, vmap, kind="square"):
-        if name in self.edges:
-            raise ValueError(f"duplicate edge name {name!r}")
-        morphism = PairMorphism(name, self.nodes[src_key], self.nodes[tgt_key],
-                                vmap, kind)
-        self.edges[name] = Edge(name, src_key, tgt_key, morphism)
-
-    def pair(self, total: str, sub: str = EMPTY_NAME) -> Tuple[str, str]:
+    def _node(self, total: str, sub: str = EMPTY_NAME) -> Tuple[str, str]:
         key = (total, sub)
-        if key not in self.nodes:
-            self.nodes[key] = SimpPair(self._get(total), self._get(sub))
+        if key not in self.assembled.nodes:
+            self.assembled.nodes[key] = SimpPair(self._get(total), self._get(sub))
         return key
 
-    def triple(self, name, x, y, z=EMPTY_NAME):
-        if name in self.triples:
+    def _add_edge(self, name, src_key, tgt_key, vmap, kind="square"):
+        d = self.assembled
+        if name in d.edges:
+            raise ValueError(f"duplicate edge name {name!r}")
+        morphism = PairMorphism(name, d.nodes[src_key], d.nodes[tgt_key],
+                                vmap, kind)
+        d.edges[name] = Edge(name, src_key, tgt_key, morphism)
+
+    def add_complex(self, name: str, cx: SimplicialComplex):
+        if name in self.assembled.complexes and self.complexes.get(name) != cx:
+            raise ValueError(f"complex name {name!r} already used")
+        self.complexes[name] = self.assembled.complexes[name] = cx
+        return self
+
+    def add_pair(self, total: str, sub: str = EMPTY_NAME):
+        self._node(total, sub)
+        self.pairs.append((total, sub))
+        return self
+
+    def add_edge(self, name, src, tgt, vertex_map):
+        src, tgt = tuple(src), tuple(tgt)
+        self._add_edge(name, self._node(*src), self._node(*tgt), vertex_map)
+        self.edges.append((name, src, tgt, dict(vertex_map)))
+        return self
+
+    def add_triple(self, name, x, y, z=EMPTY_NAME):
+        d = self.assembled
+        if name in d.triples:
             raise ValueError(f"duplicate triple name {name!r}")
         zc, yc, xc = self._get(z), self._get(y), self._get(x)
         if not zc.is_subcomplex_of(yc) or not yc.is_subcomplex_of(xc):
             raise ValueError(f"triple {name!r} is not a chain of subcomplexes")
-        t = self.triples[name] = Triple(name, x, y, z)
-        self.pair(y, z)
-        self.pair(x, z)
-        self.pair(x, y)
+        t = d.triples[name] = Triple(name, x, y, z)
+        self._node(y, z)
+        self._node(x, z)
+        self._node(x, y)
         self._add_edge(t.bt, t.nyz, t.nxz, _inclusion(yc), "boxtimes")
         self._add_edge(t.bp, t.nxz, t.nxy, _inclusion(xc), "boxplus")
         self._add_edge(t.bd, t.nyz, t.nxy, _inclusion(yc), "partial")
-        self.composites.append((t.bt, t.bp, t.bd))
+        d.composites.append((t.bt, t.bp, t.bd))
+        self.triples.append((name, x, y, z))
+        return self
 
-    def square(self, name, x, u, v):
-        if name in self.squares:
+    def add_square(self, name, x, u, v):
+        d = self.assembled
+        if name in d.squares:
             raise ValueError(f"duplicate square name {name!r}")
         xc, uc, vc = self._get(x), self._get(u), self._get(v)
         ds = subcomplex_union(uc, vc, ambient=xc)
         bname = self._generate(f"{name}.b", ds.intersection)
         dname = self._generate(f"{name}.d", ds.union)
-        sq = self.squares[name] = Square(name, x, u, v, bname, dname)
-        kb, ku, kv, kd = (self.pair(c) for c in (bname, u, v, dname))
+        sq = d.squares[name] = Square(name, x, u, v, bname, dname)
+        kb, ku, kv, kd = (self._node(c) for c in (bname, u, v, dname))
         self._add_edge(sq.ia, kb, ku, _inclusion(ds.intersection))
         self._add_edge(sq.ic, kb, kv, _inclusion(ds.intersection))
         self._add_edge(sq.ja, ku, kd, _inclusion(uc))
         self._add_edge(sq.jc, kv, kd, _inclusion(vc))
+        self.squares.append((name, x, u, v))
+        return self
 
-    def edge(self, name, src, tgt, vmap):
-        self._add_edge(name, self.pair(*src), self.pair(*tgt), vmap)
-
-    def cube(self, name, src, tgt, vmap):
-        if src not in self.triples or tgt not in self.triples:
-            raise ValueError(f"cube {name!r} references an unknown triple")
-        s, t = self.triples[src], self.triples[tgt]
-        c = self.cubes[name] = Cube(name, src, tgt, vmap)
-        self._add_edge(c.dia, s.nyz, t.nyz, _restricted(vmap, self._get(s.y)))
-        self._add_edge(c.mid, s.nxz, t.nxz, _restricted(vmap, self._get(s.x)))
-        self._add_edge(c.box, s.nxy, t.nxy, _restricted(vmap, self._get(s.x)))
-
-    def square_map(self, name, src, tgt, vmap):
-        if src not in self.squares or tgt not in self.squares:
+    def add_square_map(self, name, src, tgt, vertex_map):
+        d = self.assembled
+        if src not in d.squares or tgt not in d.squares:
             raise ValueError(f"square map {name!r} references an unknown square")
-        s, t = self.squares[src], self.squares[tgt]
-        m = self.square_maps[name] = SquareMap(name, src, tgt, vmap)
+        s, t = d.squares[src], d.squares[tgt]
+        m = d.square_maps[name] = SquareMap(name, src, tgt, vertex_map)
         for edge, a, b in ((m.eb, s.b, t.b), (m.ea, s.u, t.u),
                            (m.ec, s.v, t.v), (m.ed, s.d, t.d)):
             self._add_edge(edge, (a, EMPTY_NAME), (b, EMPTY_NAME),
-                           _restricted(vmap, self._get(a)))
+                           _restricted(vertex_map, self._get(a)))
+        self.square_maps.append((name, src, tgt, dict(vertex_map)))
+        return self
 
-    def prism(self, total, sub=EMPTY_NAME):
-        key = self.pair(total, sub)
-        if key in self.prisms:
-            return
-        data = prism(self._get(total))
-        pt_name = self._generate(f"{total}xI", data.complex)
-        if sub == EMPTY_NAME:
-            ps_name = EMPTY_NAME
-        else:
-            ps_name = self._generate(f"{sub}xI", prism(self._get(sub)).complex)
-        pe = self.prisms[key] = PrismEdges(key, self.pair(pt_name, ps_name))
-        self._add_edge(pe.i0, key, pe.product_pair, data.bottom)
-        self._add_edge(pe.i1, key, pe.product_pair, data.top)
-        self._add_edge(pe.pr, pe.product_pair, key, data.projection)
+    def add_prism(self, total: str, sub: str = EMPTY_NAME):
+        d = self.assembled
+        key = self._node(total, sub)
+        if key not in d.prisms:
+            data = prism(self._get(total))
+            pt_name = self._generate(f"{total}xI", data.complex)
+            if sub == EMPTY_NAME:
+                ps_name = EMPTY_NAME
+            else:
+                ps_name = self._generate(f"{sub}xI", prism(self._get(sub)).complex)
+            pe = d.prisms[key] = PrismEdges(key, self._node(pt_name, ps_name))
+            self._add_edge(pe.i0, key, pe.product_pair, data.bottom)
+            self._add_edge(pe.i1, key, pe.product_pair, data.top)
+            self._add_edge(pe.pr, pe.product_pair, key, data.projection)
+        self.prisms.append((total, sub))
+        return self
 
-    def finish(self) -> PairDiagram:
-        for key in sorted(self.nodes):
+    def add_cube(self, name, src_triple, tgt_triple, vertex_map):
+        d = self.assembled
+        if src_triple not in d.triples or tgt_triple not in d.triples:
+            raise ValueError(f"cube {name!r} references an unknown triple")
+        s, t = d.triples[src_triple], d.triples[tgt_triple]
+        c = d.cubes[name] = Cube(name, src_triple, tgt_triple, vertex_map)
+        self._add_edge(c.dia, s.nyz, t.nyz, _restricted(vertex_map, self._get(s.y)))
+        self._add_edge(c.mid, s.nxz, t.nxz, _restricted(vertex_map, self._get(s.x)))
+        self._add_edge(c.box, s.nxy, t.nxy, _restricted(vertex_map, self._get(s.x)))
+        self.cubes.append((name, src_triple, tgt_triple, dict(vertex_map)))
+        return self
+
+    def build(self) -> PairDiagram:
+        d = self.assembled
+        for key in sorted(d.nodes):
             name = PairDiagram.identity_name(key)
-            if name in self.edges:
+            if name in d.edges:
                 raise ValueError(f"edge name {name!r} collides with an identity")
-            self._add_edge(name, key, key, _inclusion(self.nodes[key].total),
+            self._add_edge(name, key, key, _inclusion(d.nodes[key].total),
                            "identity")
-        for first, then, whole in self.composites:
-            f, g, h = self.edges[first], self.edges[then], self.edges[whole]
+        for first, then, whole in d.composites:
+            f, g, h = d.edges[first], d.edges[then], d.edges[whole]
             if f.tgt != g.src or f.src != h.src or g.tgt != h.tgt:
                 raise ValueError(f"composite {whole!r} has inconsistent endpoints")
             fm, gm, hm = (e.morphism.vertex_map for e in (f, g, h))
-            for v in self.nodes[f.src].total.vertices:
+            for v in d.nodes[f.src].total.vertices:
                 if gm[fm[v]] != hm[v]:
                     raise ValueError(f"composite {whole!r} disagrees with its factors")
-        return PairDiagram(self.complexes, self.nodes, self.edges,
-                           self.composites, self.triples, self.cubes,
-                           self.squares, self.square_maps, self.prisms)
+        return d

@@ -155,6 +155,18 @@ def test_sequent_type_error_exits_two(tmp_path):
     assert rc == 2 and report is None
 
 
+@pytest.mark.parametrize("body, flags, reason", [
+    ("[x:h0(X)] top |- x = x", ("--window", "1..1"), "unknown sort 'h0(X)'"),
+    ('[x:h0(X)] top |- ""@0(x) = x', (), "unknown symbol '@0'"),
+], ids=["sort", "symbol"])
+def test_sequent_error_names_the_sequent(tmp_path, capsys, body, flags,
+                                         reason):
+    text = f"complex X = {{ab}}\nsequent s = {body}\nsequent\n"
+    rc, report = _run(tmp_path, text, "--coeff", "Zmod2", *flags)
+    assert rc == 2 and report is None
+    assert capsys.readouterr().err == f"error: sequent 's': {reason}\n"
+
+
 def test_infinite_carrier_exits_two(tmp_path, capsys):
     rc, report = _run(tmp_path, POINT_SEQ)
     assert rc == 2 and report is None
@@ -246,6 +258,29 @@ def test_runs_share_no_state(tmp_path, monkeypatch):
         assert rc == 0 and report["results"][0]["converges"] is True
         counts.append(calls[start:])
     assert counts[0] and counts[0] == counts[1]
+
+
+def test_validate_assembles_each_declaration_once(tmp_path, monkeypatch):
+    # the square takes one union and `prism A / P` two prisms; a run that
+    # assembled the diagram twice would take twice as many
+    import homlab.simp as simp
+    calls = {"prism": 0, "subcomplex_union": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(simp, name), **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(simp, name, counted)
+    text = ("complex C = {ab, bc, cd, ad}\n"
+            "complex A = {b, d}\n"
+            "complex P = {b}\n"
+            "complex U = {ab, bc}\n"
+            "complex V = {cd, ad}\n"
+            "square q : U + V in C\n"
+            "prism A / P\n"
+            "validate\n")
+    rc, report = _run(tmp_path, text)
+    assert rc == 0 and report["ok"] is True
+    assert calls == {"prism": 2, "subcomplex_union": 1}
 
 
 # -- end-algebra ---------------------------------------------------------------

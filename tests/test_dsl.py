@@ -131,6 +131,25 @@ def test_generated_edge_name_is_taken(name, col):
     assert f"duplicate edge name {name!r}" in str(err)
 
 
+@pytest.mark.parametrize("line, name, col", [
+    ("pair q.b", "q.b", 6),
+    ("prism q.d", "q.d", 7),
+    ("filtration G on UxI = skeletal", "UxI", 17),
+])
+def test_generated_complexes_are_not_declared(line, name, col):
+    # declaration statements resolve declared complexes only; sorts also
+    # see the generated ones (EVERY_KIND below)
+    err = _parse_error("complex X = {ab, bc}\n"
+                       "complex U = {ab}\n"
+                       "complex V = {bc}\n"
+                       "square q : U + V in X\n"
+                       "prism U\n"
+                       f"{line}\n"
+                       "validate\n")
+    assert (err.line, err.col) == (6, col)
+    assert f"unknown complex {name!r}" in str(err)
+
+
 def test_filtration_dimension_violation_is_located():
     err = _parse_error("complex X = {ab}\n"
                        "filtration F on X = [X]\n"

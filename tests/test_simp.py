@@ -232,17 +232,15 @@ def test_diagram_errors():
     b.add_pair("X")
     b.add_edge("f", ("X", EMPTY_NAME), ("X", EMPTY_NAME),
                {v: v for v in "abc"})
-    b.add_edge("f", ("X", EMPTY_NAME), ("X", EMPTY_NAME),
-               {v: v for v in "abc"})
     with pytest.raises(ValueError, match="duplicate edge name"):
-        b.build()
+        b.add_edge("f", ("X", EMPTY_NAME), ("X", EMPTY_NAME),
+                   {v: v for v in "abc"})
 
     b2 = DiagramBuilder()
     b2.add_complex("X", full_triangle())
     b2.add_triple("t", "X", "X", "X")
-    b2.add_triple("t", "X", "X", "X")
     with pytest.raises(ValueError, match="duplicate triple"):
-        b2.build()
+        b2.add_triple("t", "X", "X", "X")
 
     b3 = DiagramBuilder()
     b3.add_complex("X", full_triangle())
@@ -257,9 +255,8 @@ def test_unmapped_vertex_in_cube_or_square_map():
     b.add_complex("X", seg)
     b.add_complex("Y", skeleton(seg, 0))
     b.add_triple("t", "X", "Y")
-    b.add_cube("c", "t", "t", {"a": "a"})
     with pytest.raises(ValueError, match="'c.dia' leaves vertex 'b' unmapped"):
-        b.build()
+        b.add_cube("c", "t", "t", {"a": "a"})
 
     x = full_triangle()
     b2 = DiagramBuilder()
@@ -267,9 +264,8 @@ def test_unmapped_vertex_in_cube_or_square_map():
     b2.add_complex("U", subcomplex(x, [("a", "b"), ("a", "c")]))
     b2.add_complex("V", subcomplex(x, [("b", "c")]))
     b2.add_square("s", "X", "U", "V")
-    b2.add_square_map("m", "s", "s", {"a": "a"})
     with pytest.raises(ValueError, match="'m.b' leaves vertex 'b' unmapped"):
-        b2.build()
+        b2.add_square_map("m", "s", "s", {"a": "a"})
 
 
 def test_intersection_helper():
