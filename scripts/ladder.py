@@ -7,7 +7,8 @@ Times are raw seconds of one run; name rungs (for example `torus14/Z2`)
 to run only those.
 
 Spectral rungs build one complex, take its skeletal filtration, and time
-`run_pages` and then `spectral_summary` on the result.  They are the
+`run_pages` and then `spectral_summary` on the result; pages are built
+on first read, so `summary_s` holds the page work.  They are the
 boundary of the 8-simplex and the 10 x 10 and 14 x 14 grid tori, each
 over Z and Z/2; each line ends with the first 16 hex digits of the
 sha256 of the summary as sorted JSON.
@@ -17,8 +18,12 @@ Enumeration rungs time `validate --flavor core,homotopy,cd` through
 the 4-cycle diagram at Z/11 and Z/13 and the 3-edge circle at Z/97.
 The end-algebra rungs time `end-algebra` through `homlab.cli.main` on
 the 3 x 3 torus diagram at Z and Z/2, whose cost is one relative kernel
-and the Smith forms of its presentation.  Each of these lines ends with the first
-16 hex digits of the sha256 of the report.
+and the Smith forms of its presentation.  The cellular rungs time
+`cellular F` through `homlab.cli.main` on the skeletal filtration of the
+boundary of the 8-simplex at Z and Z/2: the first page, d^1, the total
+complex and the comparison with the homology of the complex.  Each of
+these lines ends with the first 16 hex digits of the sha256 of the
+report.
 
 Dense Smith rungs (`smith/dense28`, `smith/dense30`, `smith/dense32`)
 time `homlab.fga.smith` on one n x n matrix drawn row by row from
@@ -109,6 +114,16 @@ prism A / P
 end-algebra
 """
 
+
+def cellular_text(facets: list) -> str:
+    """`cellular F` on the skeletal filtration of the complex with these
+    facets, vertices named by their digits."""
+    cells = ", ".join("".join(map(str, f)) for f in facets)
+    return (f"complex X = {{{cells}}}\n"
+            "filtration F on X = skeletal\n"
+            "cellular F\n")
+
+
 # rung name -> (text, extra CLI flags)
 CLI_RUNGS = {
     "cycle4/Zmod11": (CYCLE4, ["--coeff", "Zmod11", *VALIDATE_FLAGS]),
@@ -116,6 +131,9 @@ CLI_RUNGS = {
     "circle3/Zmod97": (CIRCLE3, ["--coeff", "Zmod97", *VALIDATE_FLAGS]),
     "end-algebra/torus3/Z": (TORUS3, []),
     "end-algebra/torus3/Z2": (TORUS3, ["--coeff", "Zmod2"]),
+    "cellular/bd8/Z": (cellular_text(boundary_simplex(8)), []),
+    "cellular/bd8/Z2": (cellular_text(boundary_simplex(8)),
+                        ["--coeff", "Zmod2"]),
 }
 
 SMITH_SIZES = (28, 30, 32)

@@ -50,8 +50,8 @@ def induced_hom(src: HomologyEntry, tgt: HomologyEntry,
     representative); raises RuntimeError(failure) when an image is not in
     tgt's numerator, IllDefinedHomError when relations are not respected."""
     cols = []
-    for j in range(src.reps.cols):
-        coords = tgt.expresser.express(chain_fn(src.reps.col(j)))
+    for rep in src.reps.columns():
+        coords = tgt.expresser.express(chain_fn(rep))
         if coords is None:
             raise RuntimeError(failure)
         cols.append(list(coords))
@@ -88,6 +88,7 @@ class ChainComplex:
         self.n_max = n_max
         self.groups = dict(groups)
         self.diffs = dict(diffs)
+        self._homology: Dict[int, HomologyEntry] = {}
         for n in range(n_min, n_max + 1):
             if n not in self.groups:
                 self.groups[n] = FgAbGroup.zero()
@@ -126,18 +127,23 @@ class ChainComplex:
 
     def homology_with_reps(self, n: int) -> HomologyEntry:
         """H_n as cycles {x : d x = 0 in the presented C_{n-1}} over
-        boundaries and the relations of C_n.  The differentials are
-        homomorphisms, so those relations are cycles."""
-        cn = self.group(n)
-        d_n = self.differential(n)
-        cycles = preimage_lattice(d_n.matrix, d_n.target.relation_lattice())
-        boundaries = hstack([self.differential(n + 1).matrix,
-                             cn.relation_cols()])
-        try:
-            return homology_entry(cn.ngens, cycles, boundaries)
-        except ValueError as e:
-            raise ValueError(f"d∘d does not vanish, or d is not a "
-                             f"homomorphism, at degree {n}: {e}") from e
+        boundaries and the relations of C_n, presented once per degree;
+        the differentials are homomorphisms, so those relations are cycles."""
+        entry = self._homology.get(n)
+        if entry is None:
+            cn = self.group(n)
+            d_n = self.differential(n)
+            cycles = preimage_lattice(d_n.matrix,
+                                      d_n.target.relation_lattice())
+            boundaries = hstack([self.differential(n + 1).matrix,
+                                 cn.relation_cols()])
+            try:
+                entry = self._homology[n] = homology_entry(
+                    cn.ngens, cycles, boundaries)
+            except ValueError as e:
+                raise ValueError(f"d∘d does not vanish, or d is not a "
+                                 f"homomorphism, at degree {n}: {e}") from e
+        return entry
 
     def shift(self, k: int) -> "ChainComplex":
         return ChainComplex(self.n_min + k, self.n_max + k,

@@ -7,7 +7,8 @@ L_p in each chain group.  Approximate-cycle lattices
 
 present every page as a subquotient with chain-level generator
 representatives, so differentials and the comparison with the graded
-pieces of homology are all computed by lattice arithmetic.  Coefficients
+pieces of homology are all computed by lattice arithmetic.  A page, and
+each differential d^r, is built the first time it is read.  Coefficients
 in Z/m are handled by padding every lattice with m times the ambient
 basis; modulus 0 means integer coefficients.
 
@@ -46,7 +47,8 @@ from .simp import (
 
 
 class SpectralSequence:
-    """All pages E^1 .. E^{d+1} of the filtration, with differentials.
+    """Pages E^1 .. E^{d+1} of the filtration and their differentials,
+    each page and each d^r built the first time it is read.
 
     Lattices are keyed by what they contain, not by where they sit: L_p in
     degree n has the key (n, indices of the n-simplices of F_p), so steps
@@ -78,7 +80,6 @@ class SpectralSequence:
                        for col in self.chains.differential(n).matrix.columns()]
                    for n in range(self.top + 2)}
         self._z: Dict[tuple, tuple] = {}
-        self._hx: Dict[int, HomologyEntry] = {}
 
         self.grid: List[Tuple[int, int]] = []
         for p in range(self.d_len + 1):
@@ -86,30 +87,27 @@ class SpectralSequence:
                 self.grid.append((p, n - p))
         self.grid.sort()
 
+        # what has been read so far; _built keys entries by their Z lattices
         self.pages: Dict[int, Dict[Tuple[int, int], HomologyEntry]] = {}
         self.diffs: Dict[int, Dict[Tuple[int, int], GroupHom]] = {}
-        built: Dict[tuple, HomologyEntry] = {}
-        for r in range(1, self.d_len + 2):
-            entries = {}
+        self._built: Dict[tuple, HomologyEntry] = {}
+
+    def page(self, r: int) -> Dict[Tuple[int, int], HomologyEntry]:
+        """E^r by grid position, built on first read."""
+        entries = self.pages.get(r)
+        if entries is None:
+            if not 1 <= r <= self.stable_index():
+                raise ValueError(f"page {r} not computed (1..{self.d_len + 1})")
+            entries = self.pages[r] = {}
             for (p, q) in self.grid:
                 key = (self.zkey(r, p, q),
                        self.zkey(r - 1, p + r - 1, q - r + 2),
                        self.zkey(r - 1, p - 1, q + 1))
-                entry = built.get(key)
+                entry = self._built.get(key)
                 if entry is None:
-                    entry = built[key] = self._page_entry(p + q, *key)
+                    entry = self._built[key] = self._page_entry(p + q, *key)
                 entries[(p, q)] = entry
-            self.pages[r] = entries
-            diffs = {}
-            for (p, q) in self.grid:
-                tgt = (p - r, q + r - 1)
-                if tgt not in entries:
-                    continue
-                diffs[(p, q)] = induced_hom(
-                    entries[(p, q)], entries[tgt],
-                    self.chains.differential(p + q).matrix.apply,
-                    f"page {r} differential leaves its target at {(p, q)}")
-            self.diffs[r] = diffs
+        return entries
 
     def _page_entry(self, n: int, znum, zup, zleft) -> HomologyEntry:
         den = ([_combine(self._d[n + 1], z) for z in self.z_lattice(zup)[0]]
@@ -168,21 +166,30 @@ class SpectralSequence:
         return self.d_len + 1
 
     def entry(self, r: int, p: int, q: int) -> HomologyEntry:
-        if r not in self.pages:
-            raise ValueError(f"page {r} not computed (1..{self.d_len + 1})")
-        if (p, q) not in self.pages[r]:
+        e = self.page(r).get((p, q))
+        if e is None:
             raise ValueError(f"({p}, {q}) outside the support grid")
-        return self.pages[r][(p, q)]
+        return e
 
     def group(self, r: int, p: int, q: int) -> FgAbGroup:
-        if r not in self.pages:
-            raise ValueError(f"page {r} not computed (1..{self.d_len + 1})")
-        e = self.pages[r].get((p, q))
+        e = self.page(r).get((p, q))
         return e.group if e is not None else FgAbGroup.zero()
 
     def differential(self, r: int, p: int, q: int) -> Optional[GroupHom]:
-        """d^r out of (p, q); None when source or target is off the grid."""
-        return self.diffs.get(r, {}).get((p, q))
+        """d^r out of (p, q), built on first read; None when r is not a
+        page or source or target is off the grid."""
+        if not 1 <= r <= self.stable_index():
+            return None
+        diffs = self.diffs.setdefault(r, {})
+        d = diffs.get((p, q))
+        if d is None:
+            entries = self.page(r)
+            src, tgt = entries.get((p, q)), entries.get((p - r, q + r - 1))
+            if src is not None and tgt is not None:
+                d = diffs[(p, q)] = induced_hom(
+                    src, tgt, self.chains.differential(p + q).matrix.apply,
+                    f"page {r} differential leaves its target at {(p, q)}")
+        return d
 
     def infinity(self, p: int, q: int) -> FgAbGroup:
         return self.group(self.stable_index(), p, q)
@@ -191,10 +198,7 @@ class SpectralSequence:
 
     def base_homology(self, n: int) -> HomologyEntry:
         """H_n of the whole complex."""
-        entry = self._hx.get(n)
-        if entry is None:
-            entry = self._hx[n] = self.chains.homology_with_reps(n)
-        return entry
+        return self.chains.homology_with_reps(n)
 
 
 def _combine(cols: list, coeffs: dict) -> dict:
@@ -442,7 +446,7 @@ def recover_homology(spec: SpectralSequence, cell: CellularComplex,
     d_n = spec.chains.differential(n).matrix
     m = spec.modulus
     # every entry of total degree n has p >= n, so (n, 0) leads its block
-    top = spec.pages[1].get((n, 0))
+    top = spec.page(1).get((n, 0))
 
     def lift(chain):
         if top is None:
@@ -490,10 +494,10 @@ def _invariants_json(inv: tuple) -> list:
 def spectral_summary(spec: SpectralSequence) -> dict:
     """JSON-ready (stringified keys, no tuples) description of the pages."""
     pages = {}
-    for r in sorted(spec.pages):
+    for r in range(1, spec.stable_index() + 1):
         pages[str(r)] = {
             f"{p},{q}": _invariants_json(e.group.iso_invariants())
-            for (p, q), e in sorted(spec.pages[r].items())}
+            for (p, q), e in sorted(spec.page(r).items())}
     niv = niveau_filtration(spec)
     return {
         "modulus": spec.modulus,

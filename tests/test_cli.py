@@ -233,18 +233,38 @@ def test_spectral_summary_fields(tmp_path):
     assert body["pages"]["1"]["1,0"] == [3, []]
 
 
+def test_spectral_builds_no_differential(tmp_path, monkeypatch):
+    # the report lists the groups of every page and no differential
+    import homlab.niveau as niveau
+    calls = []
+    induced_hom = niveau.induced_hom
+
+    def counted(*args):
+        calls.append(args)
+        return induced_hom(*args)
+
+    monkeypatch.setattr(niveau, "induced_hom", counted)
+    text = ("complex S = {abc, abd, acd, bcd}\n"
+            "filtration F on S = skeletal\n"
+            "spectral F\n")
+    rc, report = _run(tmp_path, text)
+    assert rc == 0 and report["results"][0]["converges"] is True
+    assert calls == []
+
+
 def test_runs_share_no_state(tmp_path, monkeypatch):
-    # every reuse of Smith forms must live inside one run: a cache that
+    # every reuse of lattice work must live inside one run: a cache that
     # outlived it would make the second run cheaper than the first
     import homlab.fga as fga
     calls = []
-    smith = fga.smith
+    hermite = fga._hermite
 
-    def counted(A):
-        calls.append((A.rows, A.cols))
-        return smith(A)
+    def counted(rows, lower=0):
+        rows = list(rows)
+        calls.append((len(rows), sum(map(len, rows)), lower))
+        return hermite(rows, lower)
 
-    monkeypatch.setattr(fga, "smith", counted)
+    monkeypatch.setattr(fga, "_hermite", counted)
     text = ("complex B = {abcd}\n"
             "complex S = {abc, abd, acd, bcd}\n"
             "complex P = {a}\n"

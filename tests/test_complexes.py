@@ -133,3 +133,21 @@ def test_induced_hom_pushes_representatives_or_raises_its_text():
     assert hom.target.iso_invariants() == (0, (3,))
     with pytest.raises(RuntimeError, match="image leaves 2Z"):
         induced_hom(z6, z3, lambda v: [3 * v[0]], "image leaves 2Z")
+
+
+def test_homology_is_presented_once_per_degree(monkeypatch):
+    import homlab.complexes as complexes
+    calls = []
+    present = complexes.present_subquotient
+
+    def counted(*args):
+        calls.append(args)
+        return present(*args)
+
+    monkeypatch.setattr(complexes, "present_subquotient", counted)
+    c = two_term(IntMatrix([[-1, -1, 0], [1, 0, -1], [0, 1, 1]]))
+    for n in (0, 1):
+        entry = c.homology_with_reps(n)
+        assert c.homology_with_reps(n) is entry
+        assert c.homology(n) is entry.group
+    assert len(calls) == 2

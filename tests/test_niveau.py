@@ -210,12 +210,16 @@ def test_pages_match_reference(modulus):
     for i, filt in enumerate(reference_filtrations()):
         spec = run_pages(filt, modulus)
         pages, diffs, homology, subgroup, graded = reference_pages(filt, modulus)
-        assert sorted(spec.pages) == sorted(pages), i
+        assert sorted(pages) == list(range(1, spec.stable_index() + 1)), i
         for r, entries in pages.items():
             got = {pq: (e.group.relations, e.reps)
-                   for pq, e in spec.pages[r].items()}
+                   for pq, e in spec.page(r).items()}
             assert got == entries, (i, r)
-            got = {pq: h.matrix for pq, h in spec.diffs[r].items()}
+            got = {}
+            for pq in spec.grid:
+                d = spec.differential(r, *pq)
+                if d is not None:
+                    got[pq] = d.matrix
             assert got == diffs[r], (i, r)
         niv = niveau_filtration(spec)
         assert niv.homology == homology, i
@@ -228,3 +232,29 @@ def test_stable_entries_are_shared():
     # E^2_{0,0} and E^3_{0,0} are cut out by the same three lattices
     assert spec.entry(2, 0, 0) is spec.entry(3, 0, 0)
     assert spec.entry(1, 0, 0) is not spec.entry(2, 0, 0)
+
+
+def test_cellular_run_builds_only_the_first_page():
+    spec = run_pages(Filtration.skeletal(sphere()))
+    cell = cellular_complex(spec)
+    for n in range(3):
+        recover_homology(spec, cell, n)
+    assert sorted(spec.pages) == [1]
+
+
+def test_page_accessors_off_the_pages_and_the_grid():
+    spec = run_pages(Filtration.skeletal(sphere()))
+    last = spec.stable_index()
+    for r in (0, last + 1):
+        for read in (spec.entry, spec.group):
+            with pytest.raises(ValueError, match=rf"page {r} not computed "
+                                                 rf"\(1\.\.{last}\)"):
+                read(r, 0, 0)
+        assert spec.differential(r, 1, 0) is None
+    with pytest.raises(ValueError, match="outside the support grid"):
+        spec.entry(1, 0, 1)
+    assert spec.group(1, 0, 1).is_trivial()
+    # (0, 0) has no target on the grid, (5, 0) is not on it
+    assert spec.differential(1, 0, 0) is None
+    assert spec.differential(1, 5, 0) is None
+    assert spec.differential(2, 1, 0) is None
