@@ -112,14 +112,9 @@ class ChainComplex:
         bad = []
         for n in range(self.n_min + 2, self.n_max + 1):
             comp = self.differential(n - 1) @ self.differential(n)
-            if not comp.is_zero():
-                for j in range(comp.matrix.cols):
-                    col = comp.matrix.col(j)
-                    single = GroupHom(FgAbGroup.free(1), comp.target,
-                                      IntMatrix.from_cols([col], comp.target.ngens))
-                    if not single.is_zero():
-                        bad.append(ComplexViolation(n, j, col))
-                        break
+            j = comp.nonzero_column()
+            if j is not None:
+                bad.append(ComplexViolation(n, j, comp.matrix.col(j)))
         return bad
 
     def homology(self, n: int) -> FgAbGroup:

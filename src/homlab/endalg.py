@@ -381,11 +381,6 @@ def verify_module_action(T: Representation, E: EndAlgebra) -> ActionReport:
     """
     issues = []
     groups = [T.groups[d] for d in E.nodes]
-
-    def trivial(mat: IntMatrix, di: int) -> bool:
-        # the zero endomorphism is exactly "all columns are relations"
-        return all(map(groups[di].is_relation, mat.columns()))
-
     for idx, tup in enumerate(E.basis):
         for di, d in enumerate(E.nodes):
             g = T.groups[d]
@@ -400,7 +395,7 @@ def verify_module_action(T: Representation, E: EndAlgebra) -> ActionReport:
         ti = E.nodes.index(t)
         for idx, tup in enumerate(E.basis):
             gap = tup[ti] @ hom.matrix - hom.matrix @ tup[si]
-            if not trivial(gap, ti):
+            if not GroupHom(groups[si], groups[ti], gap).is_zero():
                 issues.append(
                     f"basis element {idx} fails equivariance on edge {name}")
     for i in range(E.rank):
@@ -408,14 +403,15 @@ def verify_module_action(T: Representation, E: EndAlgebra) -> ActionReport:
             lifted = E.element(E.structure[i][j])
             for di in range(len(E.nodes)):
                 gap = E.basis[i][di] @ E.basis[j][di] - lifted[di]
-                if not trivial(gap, di):
+                if not GroupHom(groups[di], groups[di], gap).is_zero():
                     issues.append(
                         f"structure constants misstate the product of "
                         f"basis elements {i} and {j}")
                     break
     lifted = E.element(E.unit)
     for di, n in enumerate(E.sizes):
-        if not trivial(lifted[di] - IntMatrix.identity(n), di):
+        gap = lifted[di] - IntMatrix.identity(n)
+        if not GroupHom(groups[di], groups[di], gap).is_zero():
             issues.append("unit coordinates do not lift to the identity")
             break
     return ActionReport(not issues, issues)

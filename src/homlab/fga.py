@@ -863,17 +863,24 @@ class GroupHom:
     def apply(self, vec: Sequence[int]) -> tuple:
         return self.matrix.apply(vec)
 
+    def nonzero_column(self) -> Optional[int]:
+        """Index of the first generator whose image is not zero in the
+        target (a nonzero column that is not a relation), or None when
+        the map is zero."""
+        for j, c in enumerate(self.matrix.columns()):
+            if any(c) and not self.target.is_relation(c):
+                return j
+        return None
+
     def equal_to(self, other: "GroupHom") -> bool:
         """Equality as maps of presented groups (columns agree mod relations)."""
         if self.source != other.source or self.target != other.target:
             return False
         diff = self.matrix - other.matrix
-        if diff.is_zero():
-            return True
-        return all(map(self.target.is_relation, diff.columns()))
+        return GroupHom(self.source, self.target, diff).nonzero_column() is None
 
     def is_zero(self) -> bool:
-        return self.equal_to(GroupHom.zero_map(self.source, self.target))
+        return self.nonzero_column() is None
 
     def __repr__(self):
         return f"GroupHom({self.source!r} -> {self.target!r})"
@@ -959,11 +966,9 @@ def composite_is_zero(f: GroupHom, g: GroupHom) -> Optional[tuple]:
     """None when g∘f = 0; otherwise a source generator's nonzero image."""
     if f.target != g.source:
         raise ValueError("maps do not compose")
-    comp = g.matrix @ f.matrix
-    for c in comp.columns():
-        if any(c) and not g.target.is_relation(c):
-            return c
-    return None
+    comp = GroupHom(f.source, g.target, g.matrix @ f.matrix)
+    j = comp.nonzero_column()
+    return None if j is None else comp.matrix.col(j)
 
 
 def kernel_in_image(f: GroupHom, g: GroupHom) -> Optional[tuple]:
@@ -993,13 +998,11 @@ def is_exact_at(f: GroupHom, g: GroupHom) -> ExactnessResult:
 
 
 def is_isomorphism(f: GroupHom) -> bool:
-    if f.well_defined_violation() is not None:
+    """Whether f is a well-defined bijection; False when it is ill defined."""
+    try:
+        return hom_kernel(f)[0].is_trivial() and hom_cokernel(f)[0].is_trivial()
+    except IllDefinedHomError:
         return False
-    ker, _ = hom_kernel(f)
-    if not ker.is_trivial():
-        return False
-    coker, _ = hom_cokernel(f)
-    return coker.is_trivial()
 
 
 def _presented_in(P: HermiteBasis, vectors: Iterable[Sequence[int]],

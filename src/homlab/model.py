@@ -63,14 +63,13 @@ def relative_chain_complex(pair: SimpPair, modulus: int, lo: int, hi: int
 
 
 class _NodeData:
-    __slots__ = ("chains", "bases", "index", "homology")
+    __slots__ = ("chains", "bases", "index")
 
     def __init__(self, chains, bases):
         self.chains = chains
         self.bases = bases
         self.index = {n: {s: i for i, s in enumerate(bs)}
                       for n, bs in bases.items()}
-        self.homology: Dict[int, HomologyEntry] = {}
 
 
 def _permutation_sign(positions: List[int]) -> int:
@@ -114,15 +113,11 @@ class HomologyModel:
         self._nodes: Dict[Key, _NodeData] = {}
         lo, hi = window[0] - 1, window[1] + 1
         for key in diagram.node_keys():
-            chains, bases = relative_chain_complex(diagram.nodes[key],
-                                                   modulus, lo, hi)
-            data = _NodeData(chains, bases)
-            for n in self.degrees():
-                data.homology[n] = chains.homology_with_reps(n)
-            self._nodes[key] = data
-        self._induced: Dict[Tuple[str, int], GroupHom] = {}
-        self._connecting: Dict[Tuple[str, int], GroupHom] = {}
-        self._mv: Dict[Tuple[str, int], GroupHom] = {}
+            self._nodes[key] = _NodeData(*relative_chain_complex(
+                diagram.nodes[key], modulus, lo, hi))
+        # induced maps, connecting and union connecting morphisms, keyed
+        # by (kind, edge/triple/square name, degree)
+        self._maps: Dict[Tuple[str, str, int], GroupHom] = {}
 
     # -- plumbing ----------------------------------------------------------
 
@@ -140,7 +135,7 @@ class HomologyModel:
 
     def entry(self, key: Key, n: int) -> HomologyEntry:
         self._check_degree(n)
-        return self.node(key).homology[n]
+        return self.node(key).chains.homology_with_reps(n)
 
     def group(self, key: Key, n: int) -> FgAbGroup:
         return self.entry(key, n).group
@@ -186,9 +181,9 @@ class HomologyModel:
     def induced(self, edge_name: str, n: int) -> GroupHom:
         """Map on homology induced by a diagram edge."""
         self._check_degree(n)
-        cached = self._induced.get((edge_name, n))
-        if cached is not None:
-            return cached
+        key = ("induced", edge_name, n)
+        if key in self._maps:
+            return self._maps[key]
         edge = self.diagram.edges[edge_name]
         if edge.kind == "partial":
             raise ValueError(
@@ -204,9 +199,9 @@ class HomologyModel:
                     out[image[0]] += image[1] * c
             return out
 
-        hom = induced_hom(self.entry(edge.src, n), self.entry(edge.tgt, n),
-                          push, f"image of a cycle under {edge_name!r} is not a cycle")
-        self._induced[(edge_name, n)] = hom
+        hom = self._maps[key] = induced_hom(
+            self.entry(edge.src, n), self.entry(edge.tgt, n), push,
+            f"image of a cycle under {edge_name!r} is not a cycle")
         return hom
 
     # -- connecting morphisms ----------------------------------------------
@@ -215,9 +210,9 @@ class HomologyModel:
         """H_n(total, middle) -> H_{n-1}(middle, small) of a triple."""
         self._check_degree(n)
         self._check_degree(n - 1)
-        cached = self._connecting.get((triple_name, n))
-        if cached is not None:
-            return cached
+        key = ("connecting", triple_name, n)
+        if key in self._maps:
+            return self._maps[key]
         t = self.diagram.triples[triple_name]
         src = self.node(t.nxy)
         mid = self.node(t.nxz)
@@ -235,9 +230,10 @@ class HomologyModel:
             return _restrict(d.apply(lifted), mid.bases[n - 1], middle,
                              tgt.index[n - 1], self.modulus, leak)
 
-        hom = induced_hom(src.homology[n], tgt.homology[n - 1], boundary,
-                          "connecting image is not a cycle")
-        self._connecting[(triple_name, n)] = hom
+        hom = self._maps[key] = induced_hom(
+            src.chains.homology_with_reps(n),
+            tgt.chains.homology_with_reps(n - 1), boundary,
+            "connecting image is not a cycle")
         return hom
 
     def mv_connecting(self, square_name: str, n: int) -> GroupHom:
@@ -249,9 +245,9 @@ class HomologyModel:
         """
         self._check_degree(n)
         self._check_degree(n - 1)
-        cached = self._mv.get((square_name, n))
-        if cached is not None:
-            return cached
+        key = ("mv", square_name, n)
+        if key in self._maps:
+            return self._maps[key]
         sq = self.diagram.squares[square_name]
         src = self.node((sq.d, "0"))
         tgt = self.node((sq.b, "0"))
@@ -267,7 +263,8 @@ class HomologyModel:
                 self.modulus,
                 "boundary of the left part leaks outside the intersection")
 
-        hom = induced_hom(src.homology[n], tgt.homology[n - 1], boundary,
-                          "union connecting image is not a cycle")
-        self._mv[(square_name, n)] = hom
+        hom = self._maps[key] = induced_hom(
+            src.chains.homology_with_reps(n),
+            tgt.chains.homology_with_reps(n - 1), boundary,
+            "union connecting image is not a cycle")
         return hom

@@ -437,25 +437,20 @@ def recover_homology(spec: SpectralSequence, cell: CellularComplex,
     carry no n-chains at all, so the lifted chain is already a cycle: the
     usual staircase of corrections collapses to this single step.  The
     class of the lift is independent of all choices (boundaries out of
-    the (n+1, 0) block and first-page relations both die in H_n), which
-    require_well_defined re-checks at runtime.
+    the (n+1, 0) block and first-page relations both die in H_n).
+    `induced_hom` re-checks both at runtime: a chain that is not a cycle
+    has no class in H_n, and require_well_defined checks the choices.
     """
     if cell.offenders:
         raise ValueError(
             f"filtration is not cellular; offending entries {cell.offenders}")
-    d_n = spec.chains.differential(n).matrix
-    m = spec.modulus
     # every entry of total degree n has p >= n, so (n, 0) leads its block
     top = spec.page(1).get((n, 0))
 
     def lift(chain):
         if top is None:
-            z = [0] * spec.dim(n)
-        else:
-            z = list(top.reps.apply(chain[:top.group.ngens]))
-        if any(b if m == 0 else b % m for b in d_n.apply(z)):
-            raise RuntimeError("restricted chain is not a cycle")
-        return z
+            return [0] * spec.dim(n)
+        return top.reps.apply(chain[:top.group.ngens])
 
     return induced_hom(cell.total.homology_with_reps(n), spec.base_homology(n),
                        lift, "recovered cycle escapes the cycle lattice")

@@ -11,7 +11,7 @@ generates connecting maps and axiom instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
 EMPTY_NAME = "0"
 
@@ -65,24 +65,14 @@ class SimplicialComplex:
         else:
             labels = list(vertices)
         pos = {v: i for i, v in enumerate(labels)}
-        closed = set()
         for s in maximal:
             for v in s:
                 if v not in pos:
                     raise ValueError(f"simplex {s} uses unknown vertex {v!r}")
             if len(set(s)) != len(s):
                 raise ValueError(f"repeated vertex in simplex {s}")
-            base = tuple(sorted(s, key=pos.__getitem__))
-            stack = [base]
-            while stack:
-                t = stack.pop()
-                if t in closed or not t:
-                    continue
-                closed.add(t)
-                if len(t) > 1:
-                    for i in range(len(t)):
-                        stack.append(t[:i] + t[i + 1:])
-        return cls(labels, closed)
+        return cls(labels, _closure(tuple(sorted(s, key=pos.__getitem__))
+                                    for s in maximal))
 
     def position(self, label: str) -> int:
         return self._pos[label]
@@ -125,11 +115,32 @@ def _is_subsequence(sub: Sequence[str], full: Sequence[str]) -> bool:
     return all(any(v == w for w in it) for v in sub)
 
 
+def _closure(simplices: Iterable[Tuple[str, ...]]) -> set:
+    """Every nonempty face of the given simplices, each sorted."""
+    closed = set()
+    stack = list(simplices)
+    while stack:
+        t = stack.pop()
+        if t and t not in closed:
+            closed.add(t)
+            if len(t) > 1:
+                for i in range(len(t)):
+                    stack.append(t[:i] + t[i + 1:])
+    return closed
+
+
+def _on(order: Sequence[str],
+        simplices: Collection[Tuple[str, ...]]) -> SimplicialComplex:
+    """The complex on these simplices, its vertices in the order they
+    have in `order`."""
+    used = {v for s in simplices for v in s}
+    return SimplicialComplex(tuple(v for v in order if v in used), simplices)
+
+
 def subcomplex(ambient: SimplicialComplex,
                simplices: Iterable[Tuple[str, ...]]) -> SimplicialComplex:
     """Face closure of the given ambient simplices, with inherited order."""
-    closed = set()
-    stack = []
+    sorted_simplices = []
     for s in simplices:
         s = tuple(s)
         if any(v not in ambient._pos for v in s):
@@ -137,34 +148,19 @@ def subcomplex(ambient: SimplicialComplex,
         s = ambient.sort_simplex(s)
         if s not in ambient.simplices:
             raise ValueError(f"{s} is not a simplex of the ambient complex")
-        stack.append(s)
-    while stack:
-        t = stack.pop()
-        if t in closed or not t:
-            continue
-        closed.add(t)
-        if len(t) > 1:
-            for i in range(len(t)):
-                stack.append(t[:i] + t[i + 1:])
-    used = {v for s in closed for v in s}
-    verts = tuple(v for v in ambient.vertices if v in used)
-    return SimplicialComplex(verts, closed)
+        sorted_simplices.append(s)
+    return _on(ambient.vertices, _closure(sorted_simplices))
 
 
 def skeleton(x: SimplicialComplex, p: int) -> SimplicialComplex:
     """Subcomplex of simplices of dimension at most p (empty for p < 0)."""
     if p < -1:
         raise ValueError("skeleton dimension below -1")
-    keep = {s for s in x.simplices if len(s) <= p + 1}
-    used = {v for s in keep for v in s}
-    return SimplicialComplex(tuple(v for v in x.vertices if v in used), keep)
+    return _on(x.vertices, {s for s in x.simplices if len(s) <= p + 1})
 
 
 def intersection(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
-    common = a.simplices & b.simplices
-    used = {v for s in common for v in s}
-    verts = tuple(v for v in a.vertices if v in used)
-    return SimplicialComplex(verts, common)
+    return _on(a.vertices, a.simplices & b.simplices)
 
 
 def merge_vertex_orders(a: Sequence[str], b: Sequence[str]) -> Tuple[str, ...]:
@@ -217,13 +213,8 @@ def subcomplex_union(u: SimplicialComplex, v: SimplicialComplex,
         order = ambient.vertices
     else:
         order = merge_vertex_orders(u.vertices, v.vertices)
-    simps = u.simplices | v.simplices
-    used = {x for s in simps for x in s}
-    union = SimplicialComplex(tuple(x for x in order if x in used), simps)
-    inter_s = u.simplices & v.simplices
-    used_i = {x for s in inter_s for x in s}
-    inter = SimplicialComplex(tuple(x for x in order if x in used_i), inter_s)
-    return DistinguishedSquare(inter, u, v, union)
+    return DistinguishedSquare(_on(order, u.simplices & v.simplices), u, v,
+                               _on(order, u.simplices | v.simplices))
 
 
 def _level_label(v: str, k: int) -> str:
@@ -355,9 +346,8 @@ class PairMorphism:
 def map_image(vertex_map: Dict[str, str], source: SimplicialComplex,
               target: SimplicialComplex) -> SimplicialComplex:
     """Image subcomplex of a simplicial map."""
-    simps = {target.sort_simplex(vertex_map[v] for v in s) for s in source.simplices}
-    used = {v for s in simps for v in s}
-    return SimplicialComplex(tuple(v for v in target.vertices if v in used), simps)
+    return _on(target.vertices, {target.sort_simplex(vertex_map[v] for v in s)
+                                 for s in source.simplices})
 
 
 class Filtration:

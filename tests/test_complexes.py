@@ -55,6 +55,18 @@ def test_verify_reports_broken_complex():
     assert bad[0].image == (1,)
     with pytest.raises(ValueError):
         c.homology(1)
+    # over Z/2, d∘d = 2·e is zero: a column that is a relation is no witness
+    z2 = FgAbGroup.cyclic(2)
+    to_z2 = GroupHom(g, z2, IntMatrix([[1]]))
+    c = ChainComplex(0, 2, {0: z2, 1: g, 2: g},
+                     {1: to_z2, 2: GroupHom(g, g, IntMatrix([[2]]))})
+    assert c.verify() == []
+    # the witness is the first column that is not a relation
+    free2 = FgAbGroup.free(2)
+    c = ChainComplex(0, 2, {0: z2, 1: g, 2: free2},
+                     {1: to_z2, 2: GroupHom(free2, g, IntMatrix([[2, 3]]))})
+    bad = c.verify()
+    assert [(v.degree, v.generator, v.image) for v in bad] == [(2, 1, (3,))]
 
 
 def test_homology_rejects_differential_that_is_not_a_homomorphism():

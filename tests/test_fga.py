@@ -478,6 +478,28 @@ def test_is_isomorphism():
     z6 = FgAbGroup.cyclic(6)
     tw = GroupHom(z6, z6, IntMatrix([[5]]))
     assert is_isomorphism(tw)
+    # Z/2 -> Z by [[1]] sends the relation 2 to 2, not a relation of Z
+    assert not is_isomorphism(GroupHom(FgAbGroup.cyclic(2), z, IntMatrix([[1]])))
+
+
+def test_nonzero_column():
+    src, z, z2 = FgAbGroup.free(3), FgAbGroup.free(1), FgAbGroup.cyclic(2)
+    cases = [
+        (GroupHom.zero_map(src, z2), None),
+        (GroupHom(src, z2, IntMatrix([[2, 0, -4]])), None),  # relations
+        (GroupHom(src, z2, IntMatrix([[0, 1, 1]])), 1),
+        (GroupHom(src, z2, IntMatrix([[2, 3, 0]])), 1),
+        (GroupHom(src, z, IntMatrix([[0, 0, 2]])), 2),
+    ]
+    for f, want in cases:
+        assert f.nonzero_column() == want
+        assert f.is_zero() == (want is None)
+        assert f.equal_to(GroupHom.zero_map(src, f.target)) == (want is None)
+    f = GroupHom(src, z2, IntMatrix([[1, 0, 1]]))
+    assert f.equal_to(GroupHom(src, z2, IntMatrix([[3, 2, -1]])))
+    assert not f.equal_to(GroupHom(src, z2, IntMatrix([[1, 1, 1]])))
+    assert GroupHom(FgAbGroup.zero(), z, IntMatrix.zeros(1, 0)) \
+        .nonzero_column() is None
 
 
 def test_rank_helper():
