@@ -8,9 +8,14 @@ with every edge map.  The commutant is computed exactly over the integers
 as the kernel of one linear system, presented as a finitely generated
 abelian group with a multiplication table, and the projection maps
 between subdiagrams give the resulting pro-system.
+
+Basis tuples are mostly zero, so each is taken as one block-diagonal
+sparse matrix {column: {row: entry}} on the direct sum of the node groups:
+a zero product needs no solve, and each action gap goes to `first_nonzero`.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .fga import (
@@ -20,8 +25,11 @@ from .fga import (
     HermiteBasis,
     IntMatrix,
     QuotientExpresser,
+    direct_sum,
+    first_nonzero,
     kernel,
     present_subquotient,
+    sparse_sum,
 )
 from .logic import Signature, generate_signature, symbol_hom
 
@@ -105,12 +113,37 @@ def representation_from_model(model) -> Tuple[Representation, Signature]:
     return Representation(groups, homs), sig
 
 
-def _flatten(mats: Sequence[IntMatrix]) -> list:
-    flat: List[int] = []
-    for m in mats:
-        for row in m.data:
-            flat.extend(row)
-    return flat
+def _diagonal(mats: Sequence[IntMatrix]) -> dict:
+    """The block-diagonal sparse matrix with these square blocks."""
+    starts = accumulate([m.cols for m in mats], initial=0)
+    return {j: c for m, s in zip(mats, starts)
+            for j, c in _block(m, s, s).items()}
+
+
+def _block(m: IntMatrix, row: int, col: int) -> dict:
+    """m as a sparse matrix, its top left entry moved to (row, col)."""
+    return {col + j: {row + i: e for i, e in enumerate(c) if e}
+            for j, c in enumerate(m.columns()) if any(c)}
+
+
+def _blocks(a: dict, sizes: Sequence[int]) -> tuple:
+    """The diagonal blocks, of these sizes, of a sparse matrix, dense."""
+    return tuple(IntMatrix.from_sparse_cols(
+        [{i - s: e for i, e in a.get(s + j, {}).items()} for j in range(n)], n)
+        for s, n in zip(accumulate(sizes, initial=0), sizes))
+
+
+def _compose(a: dict, b: dict) -> dict:
+    """The sparse matrix A @ B."""
+    return {j: sparse_sum([(e, a[k]) for k, e in c.items() if k in a])
+            for j, c in b.items()}
+
+
+def _combine(terms: Sequence[tuple]) -> dict:
+    """The sparse matrix sum of k * A over the pairs (k, A)."""
+    cols = {j for _, A in terms for j in A}
+    return {j: sparse_sum([(k, A[j]) for k, A in terms if j in A])
+            for j in cols}
 
 
 class EndAlgebra:
@@ -157,7 +190,8 @@ class EndAlgebra:
         for m, n in zip(mats, self.sizes):
             if (m.rows, m.cols) != (n, n):
                 raise ValueError("matrix of wrong shape in endomorphism tuple")
-        raw = self._expresser.express(_flatten(mats))
+        raw = self._expresser.express(
+            [e for m in mats for row in m.data for e in row])
         if raw is None:
             return None
         return self._canon.coords(raw)
@@ -166,27 +200,16 @@ class EndAlgebra:
         """The endomorphism tuple with these basis coordinates."""
         if len(coords) != self.group.ngens:
             raise ValueError("coordinate tuple of wrong length")
-        mats = []
-        for pos, n in enumerate(self.sizes):
-            acc = IntMatrix.zeros(n, n)
-            for c, tup in zip(coords, self.basis):
-                if c:
-                    acc = acc + tup[pos].scaled(c)
-            mats.append(acc)
-        return tuple(mats)
+        return _blocks(_combine([(c, _diagonal(t))
+                                 for c, t in zip(coords, self.basis) if c]),
+                       self.sizes)
 
     def multiply(self, a: Sequence[int], b: Sequence[int]) -> tuple:
         """Product in basis coordinates via the structure constants."""
-        out = [0] * self.group.ngens
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if not bj:
-                    continue
-                for k, c in enumerate(self.structure[i][j]):
-                    out[k] += ai * bj * c
-        return self.reduce(out)
+        out = sparse_sum([(ai * bj, dict(enumerate(self.structure[i][j])))
+                          for i, ai in enumerate(a) if ai
+                          for j, bj in enumerate(b) if bj])
+        return self.reduce([out.get(k, 0) for k in range(self.group.ngens)])
 
     def as_json_dict(self) -> dict:
         free, torsion = self.group.iso_invariants()
@@ -286,43 +309,32 @@ def end_algebra(T: Representation, F: Optional[Subdiagram] = None) -> EndAlgebra
     canon = CanonicalForm(raw)
 
     ngens = len(canon.positions)
-    rel_rows = []
-    for idx, (_, d) in enumerate(canon.positions):
-        if d >= 2:
-            row = [0] * ngens
-            row[idx] = d
-            rel_rows.append(row)
+    rel_rows = [[d if k == idx else 0 for k in range(ngens)]
+                for idx, (_, d) in enumerate(canon.positions) if d >= 2]
     group = FgAbGroup(ngens, IntMatrix(rel_rows, len(rel_rows), ngens))
 
-    def unflatten(flat: Sequence[int]) -> tuple:
-        mats = []
-        for di in range(len(nodes)):
-            n = sizes[di]
-            o = offsets[di]
-            mats.append(IntMatrix([flat[o + k * n: o + (k + 1) * n]
-                                   for k in range(n)], n, n))
-        return tuple(mats)
-
-    basis = []
-    for idx in range(ngens):
-        e = [0] * ngens
-        e[idx] = 1
-        basis.append(unflatten(P.apply(canon.lift(e))))
-    basis = tuple(basis)
+    flats = (P.apply(canon.lift([int(k == i) for k in range(ngens)]))
+             for i in range(ngens))
+    basis = tuple(tuple(IntMatrix([flat[o + k * n: o + (k + 1) * n]
+                                   for k in range(n)], n, n)
+                        for o, n in zip(offsets, sizes)) for flat in flats)
 
     alg = EndAlgebra(F, nodes, sizes, group, basis, (), (), expresser, canon)
 
-    def express(mats) -> tuple:
-        coords = alg.coordinates_of(mats)
+    def express(a: dict) -> tuple:
+        """Coordinates of a tuple given as a sparse matrix; 0 if it is 0."""
+        if not any(a.values()):
+            return (0,) * ngens
+        coords = alg.coordinates_of(_blocks(a, sizes))
         if coords is None:
             raise RuntimeError(
                 "commutant is not closed; an expected product escaped it")
         return coords
 
-    alg.unit = express(tuple(IntMatrix.identity(n) for n in sizes))
+    sparse = [_diagonal(tup) for tup in basis]
+    alg.unit = express({r: {r: 1} for r in range(sum(sizes))})
     alg.structure = tuple(
-        tuple(express(tuple(a @ b for a, b in zip(basis[i], basis[j])))
-              for j in range(ngens))
+        tuple(express(_compose(sparse[i], sparse[j])) for j in range(ngens))
         for i in range(ngens))
     return alg
 
@@ -377,41 +389,50 @@ def verify_module_action(T: Representation, E: EndAlgebra) -> ActionReport:
     Verifies well-definedness of every basis tuple, equivariance against
     every edge map, agreement of the structure constants with actual
     composition, and that the unit coordinates lift to the identity.
-    Problems are reported, not raised, so tampered input can be examined.
-    """
-    issues = []
+    Each gap (b M - M b, b_i b_j - sum c_k b_k, sum u_k b_k - I) is a
+    sparse matrix on the direct sum, built from E.basis itself.  Problems
+    are reported, not raised, so tampered input can be examined; basis
+    matrices of the wrong shape are reported alone."""
     groups = [T.groups[d] for d in E.nodes]
+    issues = [f"basis element {idx} is {m.rows}x{m.cols} on node {d}, "
+              f"expected {g.ngens}x{g.ngens}"
+              for idx, tup in enumerate(E.basis)
+              for m, g, d in zip(tup, groups, E.nodes)
+              if (m.rows, m.cols) != (g.ngens, g.ngens)]
+    if issues:
+        return ActionReport(False, issues)
+    total = direct_sum(groups)
+    start = dict(zip(E.nodes, accumulate([g.ngens for g in groups],
+                                         initial=0)))
+    sparse = [_diagonal(tup) for tup in E.basis]
+
+    def nonzero(terms: list) -> bool:
+        return first_nonzero(_combine(terms).values(), total) is not None
+
     for idx, tup in enumerate(E.basis):
-        for di, d in enumerate(E.nodes):
-            g = T.groups[d]
-            viol = GroupHom(g, g, tup[di]).well_defined_violation()
-            if viol is not None:
-                issues.append(
-                    f"basis element {idx} is not well defined on node {d}")
-                break
+        bad = [d for m, g, d in zip(tup, groups, E.nodes)
+               if GroupHom(g, g, m).well_defined_violation() is not None]
+        if bad:
+            issues.append(
+                f"basis element {idx} is not well defined on node {bad[0]}")
     for name in E.subdiagram.edges:
         s, t, hom = T.homs[name]
-        si = E.nodes.index(s)
-        ti = E.nodes.index(t)
-        for idx, tup in enumerate(E.basis):
-            gap = tup[ti] @ hom.matrix - hom.matrix @ tup[si]
-            if not GroupHom(groups[si], groups[ti], gap).is_zero():
+        M = _block(hom.matrix, start[t], start[s])
+        for idx, b in enumerate(sparse):
+            if nonzero([(1, _compose(b, M)), (-1, _compose(M, b))]):
                 issues.append(
                     f"basis element {idx} fails equivariance on edge {name}")
-    for i in range(E.rank):
-        for j in range(E.rank):
-            lifted = E.element(E.structure[i][j])
-            for di in range(len(E.nodes)):
-                gap = E.basis[i][di] @ E.basis[j][di] - lifted[di]
-                if not GroupHom(groups[di], groups[di], gap).is_zero():
-                    issues.append(
-                        f"structure constants misstate the product of "
-                        f"basis elements {i} and {j}")
-                    break
-    lifted = E.element(E.unit)
-    for di, n in enumerate(E.sizes):
-        gap = lifted[di] - IntMatrix.identity(n)
-        if not GroupHom(groups[di], groups[di], gap).is_zero():
-            issues.append("unit coordinates do not lift to the identity")
-            break
+    claims = [(f"structure constants misstate the product of basis "
+               f"elements {i} and {j}", E.structure[i][j],
+               _compose(sparse[i], sparse[j]))
+              for i in range(E.rank) for j in range(E.rank)]
+    claims.append(("unit coordinates do not lift to the identity", E.unit,
+                   {r: {r: 1} for r in range(total.ngens)}))
+    for misstated, coords, want in claims:
+        if len(coords) != E.rank:
+            issues.append(f"{misstated}: {len(coords)} coordinates, "
+                          f"expected {E.rank}")
+        elif nonzero([(c, b) for c, b in zip(coords, sparse) if c]
+                     + [(-1, want)]):
+            issues.append(misstated)
     return ActionReport(not issues, issues)

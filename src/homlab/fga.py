@@ -477,6 +477,15 @@ def _sparse(vec: Sequence[int]) -> dict:
     return {i: vec[i] for i in compress(range(len(vec)), vec)}
 
 
+def sparse_sum(terms: Iterable[tuple]) -> dict:
+    """Sum of k * v over pairs (int k, sparse v), zero entries dropped."""
+    acc = {}
+    for k, v in terms:
+        for i, e in v.items():
+            acc[i] = acc.get(i, 0) + k * e
+    return {i: e for i, e in acc.items() if e}
+
+
 def _hermite(rows: Iterable[dict], lower: int = 0) -> dict:
     """Reduced row Hermite form of the lattice spanned by sparse rows.
 
@@ -802,6 +811,13 @@ def direct_sum(groups: Sequence[FgAbGroup]) -> FgAbGroup:
     return FgAbGroup(ngens, block_diag([g.relations for g in groups]))
 
 
+def first_nonzero(cols: Iterable[dict], target: FgAbGroup) -> Optional[int]:
+    """Index of the first sparse column (zero entries left out) that is not
+    zero in `target`, or None: the one test that a map into it is zero."""
+    return next((j for j, c in enumerate(cols)
+                 if c and not target.relation_lattice().contains(c)), None)
+
+
 class IllDefinedHomError(ValueError):
     pass
 
@@ -836,16 +852,10 @@ class GroupHom:
         picks out, as a sparse vector."""
         if self.source.relations.rows == 0:
             return None
-        lattice = self.target.relation_lattice()
         cols = [_sparse(c) for c in self.matrix.columns()]
-        for i, rel in enumerate(self.source.relations.data):
-            image = {}
-            for j, r in _sparse(rel).items():
-                for k, e in cols[j].items():
-                    image[k] = image.get(k, 0) + r * e
-            if not lattice.contains({k: e for k, e in image.items() if e}):
-                return i
-        return None
+        return first_nonzero(
+            (sparse_sum((r, cols[j]) for j, r in _sparse(rel).items())
+             for rel in self.source.relations.data), self.target)
 
     def require_well_defined(self) -> None:
         i = self.well_defined_violation()
@@ -867,10 +877,7 @@ class GroupHom:
         """Index of the first generator whose image is not zero in the
         target (a nonzero column that is not a relation), or None when
         the map is zero."""
-        for j, c in enumerate(self.matrix.columns()):
-            if any(c) and not self.target.is_relation(c):
-                return j
-        return None
+        return first_nonzero(map(_sparse, self.matrix.columns()), self.target)
 
     def equal_to(self, other: "GroupHom") -> bool:
         """Equality as maps of presented groups (columns agree mod relations)."""

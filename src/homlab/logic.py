@@ -554,8 +554,10 @@ def export_finite_structure(model, sig: Signature) -> FiniteStructure:
     """
     st = FiniteStructure()
     forms: Dict[str, CanonicalForm] = {}
+    canon = {}  # one form per group; groups are equal by value
     for name, (key, n) in sorted(sig.sorts.items()):
-        cf = CanonicalForm(model.group(key, n))
+        group = model.group(key, n)
+        cf = canon[group] = canon.get(group) or CanonicalForm(group)
         if cf.free_rank:
             raise ValueError(
                 f"sort {name} has an infinite carrier; "

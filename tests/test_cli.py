@@ -324,6 +324,40 @@ def test_end_algebra_report(tmp_path):
     assert "h1(X,A)" in body["subdiagram"]["nodes"]
 
 
+# perfbench's small end-algebra fixture, the 4-cycle of `cycle_diagram_file`
+# at its default seed; its Z report is the one `perfbench/expected.json`
+# pins as `end-algebra/cycle/Z`
+CYCLE_END_ALGEBRA = """complex C = {Ol, lr, rt, Ot}
+complex A = {l, t}
+complex P = {l}
+map f = {O:r, l:l, r:O, t:t}
+map g = {O:l, l:r, r:t, t:O}
+pair C / A
+edge e : C / A -> C / A by f
+edge h : C -> C by g
+triple t : C / A / P
+end-algebra
+"""
+
+
+@pytest.mark.parametrize("coeff, digest", [
+    ("Z", "c4600f6ad996e152bc01f62e0d56f2c1ef94712fd217096e043e10ac0cc93bd0"),
+    ("Zmod2",
+     "ee2c2106f575a47f627c56dee3ae147839e92b967a885a05d069efd740814528"),
+    ("Zmod3",
+     "4694d208e06806c58bef14362cdee89cd782be2bd6334098264a5ef280e86b60"),
+])
+def test_end_algebra_reports_pinned(tmp_path, coeff, digest):
+    # with torsion node groups the structure constants and the action
+    # check run through relation lattices
+    src = tmp_path / "in.hwb"
+    src.write_text(CYCLE_END_ALGEBRA)
+    out = tmp_path / "out.json"
+    rc = main([str(src), "--coeff", coeff, "--seed", "0", "--out", str(out)])
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 # -- flags and exit codes --------------------------------------------------------
 
 

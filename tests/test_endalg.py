@@ -14,7 +14,14 @@ from homlab.endalg import (
     restriction_map,
     verify_module_action,
 )
-from homlab.fga import FgAbGroup, GroupHom, IntMatrix, hom_image, kernel
+from homlab.fga import (
+    FgAbGroup,
+    GroupHom,
+    IntMatrix,
+    block_diag,
+    hom_image,
+    kernel,
+)
 from homlab.model import HomologyModel
 from homlab.simp import DiagramBuilder, SimplicialComplex, skeleton
 
@@ -267,6 +274,76 @@ def test_restriction_rejects_non_subdiagram():
         restriction_map(other, full)
 
 
+def _tamper(E, basis=None, structure=None, unit=None):
+    """E with some of its basis, structure constants or unit replaced."""
+    return EndAlgebra(E.subdiagram, E.nodes, E.sizes, E.group,
+                      E.basis if basis is None else basis,
+                      E.structure if structure is None else structure,
+                      E.unit if unit is None else unit,
+                      E._expresser, E._canon)
+
+
+def _mod_two_circle():
+    """The Z/2 circle: nodes h0(S) and h1(S), each Z/2 presented on three
+    generators, joined by identity edges."""
+    circle = skeleton(SimplicialComplex.from_maximal_simplices(
+        [("a", "b", "c")]), 1)
+    b = DiagramBuilder()
+    b.add_complex("S", circle)
+    b.add_pair("S")
+    model = HomologyModel(b.build(), modulus=2, window=(0, 1))
+    T, _ = representation_from_model(model)
+    return T, end_algebra(T)
+
+
+def test_tampered_torsion_algebra_issues():
+    T, E = _mod_two_circle()
+    assert E.structure == (((1, 0), (0, 0)), ((0, 0), (0, 1)))
+    assert E.unit == (1, 1)
+
+    def issues(**kw):
+        return verify_module_action(T, _tamper(E, **kw)).issues
+
+    def with_structure(i, j, coords):
+        rows = [list(r) for r in E.structure]
+        rows[i][j] = coords
+        return tuple(map(tuple, rows))
+
+    assert issues(structure=with_structure(1, 1, (1, 1))) == [
+        "structure constants misstate the product of basis elements 1 and 1"]
+    assert issues(unit=(1, 0)) == [
+        "unit coordinates do not lift to the identity"]
+    # coordinates that differ by multiples of 2 name the same element
+    assert issues(structure=with_structure(0, 0, (3, 2))) == []
+    assert issues(unit=(-1, 3)) == []
+    # e1 -> e1, e2 -> 0 on h0(S) breaks the relation e2 = e1, and the
+    # unit's lift is then that matrix on h0(S), not the identity
+    half = IntMatrix([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    assert issues(basis=((half, E.basis[0][1]), E.basis[1])) == [
+        "basis element 0 is not well defined on node h0(S)",
+        "unit coordinates do not lift to the identity"]
+
+
+def test_malformed_algebra_is_reported_not_raised():
+    T, E = _mod_two_circle()
+    report = verify_module_action(T, _tamper(E, basis=(
+        (IntMatrix.identity(2), E.basis[0][1]),
+        (E.basis[1][0], IntMatrix.zeros(3, 1)))))
+    assert not report.ok
+    assert report.issues == [
+        "basis element 0 is 2x2 on node h0(S), expected 3x3",
+        "basis element 1 is 3x1 on node h1(S), expected 3x3"]
+    report = verify_module_action(T, _tamper(E, unit=(1,)))
+    assert report.issues == [
+        "unit coordinates do not lift to the identity: 1 coordinates, "
+        "expected 2"]
+    report = verify_module_action(T, _tamper(E, structure=(
+        (E.structure[0][0], (1, 0, 0)), E.structure[1])))
+    assert report.issues == [
+        "structure constants misstate the product of basis elements 0 and "
+        "1: 3 coordinates, expected 2"]
+
+
 def test_tampered_basis_is_reported():
     T = Representation(
         {"A": FgAbGroup.free(1), "B": FgAbGroup.free(1)},
@@ -304,15 +381,7 @@ def test_triple_model_representation():
 
 
 def test_mod_two_circle_representation():
-    circle = skeleton(SimplicialComplex.from_maximal_simplices(
-        [("a", "b", "c")]), 1)
-    b = DiagramBuilder()
-    b.add_complex("S", circle)
-    b.add_pair("S")
-    diagram = b.build()
-    model = HomologyModel(diagram, modulus=2, window=(0, 1))
-    T, _ = representation_from_model(model)
-    E = end_algebra(T)
+    T, E = _mod_two_circle()
     # two isolated Z/2 carriers linked only by identity edges
     assert E.group.iso_invariants() == (0, (2, 2))
     assert E.rational_rank == 0
@@ -393,3 +462,75 @@ def test_commutant_lattice_matches_reference(monkeypatch):
             assert found == [reference_commutant_lattice(T, F)]
             checked += 1
     assert checked == 3 * 43
+
+
+# -- sparse products against dense IntMatrix arithmetic ---------------------------
+
+
+def _random_matrix(rng, rows, cols):
+    """Mostly zero, with negative entries and some all-zero columns."""
+    dead = {j for j in range(cols) if rng.random() < 0.3}
+    return IntMatrix([[0 if j in dead or rng.random() < 0.6
+                       else rng.randint(-4, 4) for j in range(cols)]
+                      for _ in range(rows)], rows, cols)
+
+
+def _dense(a, rows, cols):
+    """The sparse matrix a {column: {row: entry}} as a dense matrix."""
+    return IntMatrix([[a.get(j, {}).get(i, 0) for j in range(cols)]
+                      for i in range(rows)], rows, cols)
+
+
+def _entries_nonzero(a):
+    return all(e for c in a.values() for e in c.values())
+
+
+def test_sparse_helpers_match_dense_arithmetic():
+    rng = random.Random(20261019)
+    for _ in range(300):
+        n, k, m = (rng.randint(0, 4) for _ in range(3))
+        A, B = _random_matrix(rng, n, k), _random_matrix(rng, k, m)
+        a, b = endalg._block(A, 0, 0), endalg._block(B, 0, 0)
+        assert _dense(a, n, k) == A and _entries_nonzero(a)
+        assert _dense(endalg._block(A, 2, 1), n + 2, k + 1) == block_diag(
+            [IntMatrix.zeros(2, 1), A])
+        prod = endalg._compose(a, b)
+        assert _dense(prod, n, m) == A @ B and _entries_nonzero(prod)
+        terms = [(rng.randint(-3, 3), _random_matrix(rng, n, m))
+                 for _ in range(rng.randint(0, 3))]
+        want = IntMatrix.zeros(n, m)
+        for c, C in terms:
+            want = want + C.scaled(c)
+        got = endalg._combine([(c, endalg._block(C, 0, 0)) for c, C in terms])
+        assert _dense(got, n, m) == want and _entries_nonzero(got)
+        # entries that cancel leave no entry behind
+        assert not any(endalg._combine([(2, a), (-2, a)]).values())
+
+
+def test_block_diagonal_tuples_match_dense():
+    # tuples with 0x0 nodes, as the cycle fixtures have, against
+    # fga.block_diag and the node-by-node dense products
+    rng = random.Random(20261020)
+    for _ in range(100):
+        sizes = [rng.randint(0, 3) for _ in range(rng.randint(0, 4))]
+        x = [_random_matrix(rng, n, n) for n in sizes]
+        y = [_random_matrix(rng, n, n) for n in sizes]
+        dx, dy = endalg._diagonal(x), endalg._diagonal(y)
+        width = sum(sizes)
+        assert _dense(dx, width, width) == block_diag(x)
+        assert endalg._blocks(dx, sizes) == tuple(x)
+        assert endalg._blocks(endalg._compose(dx, dy), sizes) == tuple(
+            p @ q for p, q in zip(x, y))
+
+
+def test_structure_constants_match_dense_products():
+    # the zero-product shortcut in end_algebra against dense products
+    # expressed through the algebra's own solver
+    for modulus in (0, 2, 3):
+        T = _model_rep(CYCLE4, modulus)
+        E = end_algebra(T)
+        assert 0 in E.sizes
+        for i, a in enumerate(E.basis):
+            for j, b in enumerate(E.basis):
+                assert E.structure[i][j] == E.coordinates_of(
+                    tuple(x @ y for x, y in zip(a, b)))
