@@ -16,6 +16,9 @@ sha256 of the summary as sorted JSON.
 Enumeration rungs time `validate --flavor core,homotopy,cd` through
 `homlab.cli.main`, whose cost is the brute-force sequent enumeration:
 the 4-cycle diagram at Z/11 and Z/13 and the 3-edge circle at Z/97.
+The sequent rung times `sequent` through `homlab.cli.main` on the same
+4-cycle diagram at Z/11, with the five sequents of perfbench's
+`enumerate` workload written into its text.
 The end-algebra rungs time `end-algebra` through `homlab.cli.main` on
 the 3 x 3 torus diagram at Z and Z/2, whose cost is one relative kernel
 and the Smith forms of its presentation.  The cellular rungs time
@@ -82,7 +85,7 @@ VALIDATE_FLAGS = ["--flavor", "core,homotopy,cd"]
 
 # the 4-cycle abcd with A = {b, d} and P = {b}; f swaps a and c, g turns
 # the cycle by one step
-CYCLE4 = """complex C = {ab, bc, cd, ad}
+CYCLE4_DIAGRAM = """complex C = {ab, bc, cd, ad}
 complex A = {b, d}
 complex P = {b}
 map f = {a:c, b:b, c:a, d:d}
@@ -91,7 +94,16 @@ pair C / A
 edge e : C / A -> C / A by f
 edge h : C -> C by g
 triple t : C / A / P
-validate
+"""
+CYCLE4 = CYCLE4_DIAGRAM + "validate\n"
+# five sequents over it; at Z/11 the carriers of h1(C,A) and h0(A) have
+# 121 elements and those of h1(C) 11
+CYCLE4_SEQUENTS = CYCLE4_DIAGRAM + """sequent comm = [x:h1(C,A), y:h1(C,A), z:h0(A), w:h1(C)] x = y |- y = x
+sequent hom = [x:h1(C), y:h1(C), u:h1(C,A), v:h0(A)] u = 0 |- h@1(x + y) = h@1(x) + h@1(y) & e@1(u) = u
+sequent inverse = [x:h1(C,A), y:h1(C,A), z:h0(A)] x + y = 0 |- y = -x
+sequent orbit = [x:h1(C), y:h1(C,A)] top |- exists w:h1(C). h@1(w) = x
+sequent half = [x:h0(A), y:h0(A)] top |- exists w:h0(A). w + y = x
+sequent
 """
 CIRCLE3 = """complex S = {ab, bc, ac}
 pair S
@@ -129,6 +141,7 @@ CLI_RUNGS = {
     "cycle4/Zmod11": (CYCLE4, ["--coeff", "Zmod11", *VALIDATE_FLAGS]),
     "cycle4/Zmod13": (CYCLE4, ["--coeff", "Zmod13", *VALIDATE_FLAGS]),
     "circle3/Zmod97": (CIRCLE3, ["--coeff", "Zmod97", *VALIDATE_FLAGS]),
+    "sequent/cycle4/Zmod11": (CYCLE4_SEQUENTS, ["--coeff", "Zmod11"]),
     "end-algebra/torus3/Z": (TORUS3, []),
     "end-algebra/torus3/Z2": (TORUS3, ["--coeff", "Zmod2"]),
     "cellular/bd8/Z": (cellular_text(boundary_simplex(8)), []),

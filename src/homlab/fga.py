@@ -1067,8 +1067,7 @@ class CanonicalForm:
     """Coordinates of group elements in the invariant-factor decomposition.
 
     Elements are tuples over the torsion factors followed by the free
-    coordinates; for finite groups `elements()` enumerates the carrier in
-    lexicographic order.
+    coordinates.
     """
 
     def __init__(self, group: FgAbGroup):
@@ -1101,11 +1100,3 @@ class CanonicalForm:
         for t in self.torsion:
             n *= t
         return n
-
-    def elements(self) -> list:
-        if self.free_rank:
-            raise ValueError("infinite carrier cannot be enumerated")
-        out = [()]
-        for t in self.torsion:
-            out = [e + (v,) for e in out for v in range(t)]
-        return out

@@ -17,6 +17,7 @@ routes up instance by instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product, repeat
 from operator import and_, eq, gt, itemgetter, not_, or_
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -489,16 +490,18 @@ def check_sequent(sig: Signature, seq: Sequent) -> None:
 class FiniteStructure:
     """Carriers and operation tables for brute-force sequent checking.
 
-    A sort's carrier is a list of distinct coordinate tuples, closed under
-    coordinatewise addition modulo the sort's moduli.  The evaluator works
-    on positions in the carrier, so `add_sort` numbers each carrier once:
+    A sort with torsion moduli (t1, ..., tk) has as carrier the coordinate
+    tuples in lexicographic order, `itertools.product(range(t1), ...,
+    range(tk))`, so the position of an element is its mixed-radix number,
+    first coordinate leading.  The evaluator works on positions:
     `index[sort]` maps an element to its position, `negation[sort][i]` is
     the position of minus element i, and `sum_table(sort)[i][j]` the
-    position of the sum of elements i and j.  A sum table has
-    len(carrier)**2 entries, as many as the assignments of a two-variable
-    sequent over the sort, so it is built only when first asked for (the
-    evaluator asks when it compiles an `Add` on the sort) and then kept
-    in `sums`.
+    position of the sum of elements i and j.  Both are composed factor by
+    factor from the tables of (a - b) % t and (a + b) % t, with no tuple
+    built.  A sum table has len(carrier)**2 entries, as many as the
+    assignments of a two-variable sequent over the sort, so it is built
+    only when first asked for (the evaluator asks when it compiles an
+    `Add` on the sort) and then kept in `sums`.
 
     `tables` maps each function symbol's source elements to target
     elements.  It is not indexed here: the evaluator reads it at each call,
@@ -514,22 +517,24 @@ class FiniteStructure:
         self.negation: Dict[str, list] = {}
         self.sums: Dict[str, list] = {}
 
-    def add_sort(self, name: str, moduli: tuple, carrier: list):
+    def add_sort(self, name: str, moduli: tuple):
         self.moduli[name] = moduli
-        self.carriers[name] = carrier
-        index = {e: i for i, e in enumerate(carrier)}
-        self.index[name] = index
-        self.negation[name] = [index[tuple((-x) % m for x, m in zip(e, moduli))]
-                               for e in carrier]
+        carrier = self.carriers[name] = list(product(*map(range, moduli)))
+        self.index[name] = {e: i for i, e in enumerate(carrier)}
+        negation = [0]
+        for t in moduli:
+            negation = [x * t + -a % t for x in negation for a in range(t)]
+        self.negation[name] = negation
 
     def sum_table(self, name: str) -> list:
         table = self.sums.get(name)
         if table is None:
-            moduli, carrier = self.moduli[name], self.carriers[name]
-            index = self.index[name]
-            table = self.sums[name] = [
-                [index[tuple((x + y) % m for x, y, m in zip(a, b, moduli))]
-                 for b in carrier] for a in carrier]
+            table = [[0]]
+            for t in self.moduli[name]:
+                add = [[*range(a, t), *range(a)] for a in range(t)]  # (a + b) % t
+                table = [[x * t + c for x in row for c in add[a]]
+                         for row in table for a in range(t)]
+            self.sums[name] = table
         return table
 
     def add_function(self, name: str, source: str, target: str, table: dict):
@@ -549,6 +554,11 @@ def symbol_hom(model, info: FuncInfo) -> GroupHom:
 def export_finite_structure(model, sig: Signature) -> FiniteStructure:
     """Tabulate every sort and symbol of the signature over the model.
 
+    Each carrier is in `FiniteStructure` order, coordinates on the
+    invariant factors of the group's `CanonicalForm`.  A symbol's table is
+    a homomorphism, so only the unit generators of its source are mapped
+    through the model (lift, apply, coords); every other image is the sum
+    of their multiples, built in carrier order modulo the target torsion.
     Needs finite carriers, so the model must use Z/m coefficients or have
     all groups in the window finite.
     """
@@ -563,14 +573,22 @@ def export_finite_structure(model, sig: Signature) -> FiniteStructure:
                 f"sort {name} has an infinite carrier; "
                 "enumerate with finite coefficients")
         forms[name] = cf
-        st.add_sort(name, cf.torsion, cf.elements())
+        st.add_sort(name, cf.torsion)
     for fname, info in sorted(sig.funcs.items()):
-        hom = symbol_hom(model, info)
+        matrix = symbol_hom(model, info).matrix
         src_cf, tgt_cf = forms[info.source], forms[info.target]
-        table = {}
-        for e in st.carriers[info.source]:
-            table[e] = tgt_cf.coords(hom.matrix.apply(src_cf.lift(e)))
-        st.add_function(fname, info.source, info.target, table)
+        units = [[int(i == k) for i in range(len(src_cf.torsion))]
+                 for k in range(len(src_cf.torsion))]
+        images = [tgt_cf.coords(matrix.apply(src_cf.lift(u))) for u in units]
+        columns = []    # image coordinate j of each source element
+        for j, m in enumerate(tgt_cf.torsion):
+            column = [0]
+            for g, t in zip(images, src_cf.torsion):
+                column = [(x + a * g[j]) % m for x in column for a in range(t)]
+            columns.append(column)
+        values = zip(*columns) if columns else repeat(())
+        st.add_function(fname, info.source, info.target,
+                        dict(zip(st.carriers[info.source], values)))
     return st
 
 

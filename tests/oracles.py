@@ -14,7 +14,10 @@ reference_hnf_rows: the sparse Hermite elimination must give the same
 canonical bases.  reference_eval_sequent is the
 package's earlier sequent evaluator, which walks the formula tree once
 per assignment on carrier tuples: the compiled evaluator must agree with
-it exactly.
+it exactly.  reference_finite_structure is the earlier export, which maps
+every carrier element on its own and hashes a coordinate tuple for every
+negation and sum: the tables built from generator images and mixed-radix
+positions must equal it.
 reference_pages is the package's earlier spectral-sequence loop, which
 builds every Z lattice, page entry and niveau subquotient anew for each
 (r, p, q): the content-keyed SpectralSequence must agree with it exactly.
@@ -28,8 +31,10 @@ import itertools
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from types import SimpleNamespace
 
 from homlab.fga import (
+    CanonicalForm,
     GroupHom,
     IntMatrix,
     QuotientExpresser,
@@ -39,7 +44,19 @@ from homlab.fga import (
     preimage_lattice,
     present_subquotient,
 )
-from homlab.logic import Add, And, App, EvalResult, Eq, Exists, Neg, Top, Var, Zero
+from homlab.logic import (
+    Add,
+    And,
+    App,
+    EvalResult,
+    Eq,
+    Exists,
+    Neg,
+    Top,
+    Var,
+    Zero,
+    symbol_hom,
+)
 from homlab.model import relative_chain_complex
 from homlab.simp import SimpPair, SimplicialComplex
 
@@ -445,6 +462,35 @@ def reference_eval_sequent(st, seq):
         if not _eval_formula(st, seq.consequent, env):
             return EvalResult(False, dict(zip(names, values)))
     return EvalResult(True)
+
+
+def reference_finite_structure(model, sig):
+    """carriers, tables, negation and sums (every sort's sum table) of the
+    exported finite structure, one element at a time: each carrier in
+    lexicographic order, each table entry as lift, apply, coords."""
+    carriers, forms = {}, {}
+    for name, (key, n) in sorted(sig.sorts.items()):
+        cf = forms[name] = CanonicalForm(model.group(key, n))
+        carrier = [()]
+        for t in cf.torsion:
+            carrier = [e + (v,) for e in carrier for v in range(t)]
+        carriers[name] = carrier
+    negation, sums = {}, {}
+    for name, carrier in carriers.items():
+        moduli = forms[name].torsion
+        index = {e: i for i, e in enumerate(carrier)}
+        negation[name] = [index[tuple((-x) % m for x, m in zip(e, moduli))]
+                          for e in carrier]
+        sums[name] = [[index[tuple((x + y) % m for x, y, m in zip(a, b, moduli))]
+                       for b in carrier] for a in carrier]
+    tables = {}
+    for fname, info in sorted(sig.funcs.items()):
+        matrix = symbol_hom(model, info).matrix
+        src, tgt = forms[info.source], forms[info.target]
+        tables[fname] = {e: tgt.coords(matrix.apply(src.lift(e)))
+                         for e in carriers[info.source]}
+    return SimpleNamespace(carriers=carriers, tables=tables,
+                           negation=negation, sums=sums)
 
 
 def reference_pages(filtration, modulus=0):

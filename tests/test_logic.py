@@ -1,7 +1,9 @@
+import itertools
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, seed, settings, strategies
 
 from homlab.logic import (
     Add,
@@ -9,6 +11,7 @@ from homlab.logic import (
     App,
     Eq,
     Exists,
+    FiniteStructure,
     Neg,
     Sequent,
     Top,
@@ -25,7 +28,8 @@ from homlab.logic import (
 from homlab.model import HomologyModel
 from homlab.simp import DiagramBuilder, SimplicialComplex, skeleton, subcomplex
 
-from oracles import reference_eval_sequent
+from oracles import reference_eval_sequent, reference_finite_structure
+from test_acceptance import axiom_suite_diagram
 
 
 def interval_triple_diagram():
@@ -197,6 +201,115 @@ def test_built_sum_table_is_coordinatewise_addition():
             [carrier.index(tuple((x + y) % m for x, y, m in zip(a, b, moduli)))
              for b in carrier] for a in carrier]
         assert st.sum_table(sort) is table
+
+
+# -- tabulation from generator images and mixed-radix positions --------------
+
+
+RP2_TRIANGLES = ("abc", "acd", "ade", "aef", "abf", "bce", "cdf", "bde", "bdf", "cef")
+CIRCLE_EDGES = (("x", "y"), ("y", "z"), ("x", "z"))
+
+
+def rp2_circle_diagram():
+    """RP2 + S1 relative to its circle, with an edge that turns the circle:
+    at Z/4, h1(X) = Z/2 + Z/4 has two torsion factors."""
+    x = SimplicialComplex.from_maximal_simplices(
+        [tuple(t) for t in RP2_TRIANGLES] + list(CIRCLE_EDGES))
+    turn = {**{v: v for v in "abcdef"}, "x": "y", "y": "z", "z": "x"}
+    b = DiagramBuilder()
+    b.add_complex("X", x)
+    b.add_complex("A", subcomplex(x, CIRCLE_EDGES))
+    b.add_pair("X", "A")
+    b.add_edge("e", ("X", "A"), ("X", "A"), turn)
+    b.add_triple("t", "X", "A")
+    return b.build()
+
+
+def structure_diagrams():
+    """(diagram, window) pairs: the fixtures above and two seeded random
+    pair/triple diagrams."""
+    rng = random.Random(1703)
+    out = [(make(), (0, 1)) for make in
+           (interval_triple_diagram, union_square_diagram, cycle_diagram)]
+    out.append((rp2_circle_diagram(), (0, 2)))
+    out += [(axiom_suite_diagram(rng), (0, 3)) for _ in range(2)]
+    return out
+
+
+@pytest.mark.parametrize("modulus", [2, 3, 4, 6, 9])
+def test_export_matches_per_element_reference(modulus):
+    factors = set()
+    for diagram, window in structure_diagrams():
+        model = HomologyModel(diagram, modulus=modulus, window=window)
+        sig = generate_signature(diagram, window)
+        st = export_finite_structure(model, sig)
+        want = reference_finite_structure(model, sig)
+        assert st.carriers == want.carriers
+        assert {f: list(t.items()) for f, t in st.tables.items()} == \
+            {f: list(t.items()) for f, t in want.tables.items()}
+        assert st.negation == want.negation
+        for sort in st.carriers:
+            assert st.sum_table(sort) == want.sums[sort]
+        factors.update(st.moduli.values())
+    assert (modulus,) in factors
+    if modulus in (4, 6):   # h1(X) on RP2 + S1
+        assert (2, modulus) in factors
+
+
+@strategies.composite
+def torsion_chains(draw):
+    """Up to 3 invariant factors t1 | t2 | t3, each at least 2, with
+    t1 * t2 * t3 <= 500."""
+    chain, size = (), 1
+    for _ in range(draw(strategies.integers(0, 3))):
+        last = chain[-1] if chain else 1
+        most = 500 // (size * last)
+        if most < 2:
+            break
+        chain += (last * draw(strategies.integers(2, most)),)
+        size *= chain[-1]
+    return chain
+
+
+@seed(1717)
+@settings(max_examples=30, deadline=None)
+@given(torsion_chains())
+def test_finite_structure_tables_are_coordinatewise(moduli):
+    st = FiniteStructure()
+    st.add_sort("s", moduli)
+    carrier = list(itertools.product(*map(range, moduli)))
+    assert st.carriers["s"] == carrier
+    index = {e: i for i, e in enumerate(carrier)}
+    assert st.index["s"] == index
+    assert st.negation["s"] == [
+        index[tuple((-x) % m for x, m in zip(e, moduli))] for e in carrier]
+    assert st.sum_table("s") == [
+        [index[tuple((x + y) % m for x, y, m in zip(a, b, moduli))]
+         for b in carrier] for a in carrier]
+
+
+def test_export_lifts_each_unit_generator_once(monkeypatch):
+    import homlab.fga as fga
+    lifts = []
+    real_lift = fga.CanonicalForm.lift
+    monkeypatch.setattr(fga.CanonicalForm, "lift",
+                        lambda cf, coords: lifts.append(coords) or real_lift(cf, coords))
+    diagram = cycle_diagram()
+    sig = generate_signature(diagram, (0, 1))
+    counts = {}
+    for modulus in (2, 7):
+        model = HomologyModel(diagram, modulus=modulus, window=(0, 1))
+        lifts.clear()
+        st = export_finite_structure(model, sig)
+        sources = [source for source, _ in st.func_sorts.values()]
+        # one lift per torsion factor of each symbol's source, each of a
+        # unit generator
+        assert len(lifts) == sum(len(st.moduli[s]) for s in sources)
+        assert all(sorted(c) == [0] * (len(c) - 1) + [1] for c in lifts)
+        counts[modulus] = (len(lifts), sum(len(st.carriers[s]) for s in sources))
+    # the count follows the torsion factors, not the carrier sizes
+    assert counts[2][0] == counts[7][0] > 0
+    assert counts[7][1] > counts[2][1]
 
 
 def test_tampered_table_is_caught():
