@@ -28,12 +28,12 @@ complex and the comparison with the homology of the complex.  Each of
 these lines ends with the first 16 hex digits of the sha256 of the
 report.
 
-Dense Smith rungs (`smith/dense28`, `smith/dense30`, `smith/dense32`)
-time `homlab.fga.smith` on one n x n matrix drawn row by row from
-`random.Random(n)` with entries in [-9, 9], past the sizes perfbench's
-`smith_dense` reaches.  Each line gives the largest bit length of an
-entry of U and V and the first 16 hex digits of the sha256 of the
-diagonal of D as JSON.
+Dense Smith rungs (`smith/dense28` to `smith/dense40`) time
+`homlab.fga.smith` on one n x n matrix drawn row by row from
+`random.Random(n)` with entries in [-9, 9], at n = 28, 30, 32, 34, 36
+and 40, past the sizes perfbench's `smith_dense` reaches.  Each line
+gives the largest bit length of an entry of U and V and the first 16
+hex digits of the sha256 of the diagonal of D as JSON.
 
 So two checkouts can be compared for identical results as well as for
 time.
@@ -149,7 +149,7 @@ CLI_RUNGS = {
                         ["--coeff", "Zmod2"]),
 }
 
-SMITH_SIZES = (28, 30, 32)
+SMITH_SIZES = (28, 30, 32, 34, 36, 40)
 
 
 def run_rung(name: str, modulus: int, facets: list) -> dict:

@@ -288,6 +288,79 @@ class SmithDecomposition:
         return self._diag
 
 
+def _xgcd(a: int, b: int) -> tuple:
+    """(g, x, y) with g = gcd(a, b) = x * a + y * b, for a > 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (a, x0, y0) if a > 0 else (-a, -x0, -y0)
+
+
+def _hermite_rows(D: list, U: list, t: int) -> None:
+    """Puts rows t.. of the sparse rows D in reduced row Hermite form in
+    place, and applies the same row operations to the rows of U.
+
+    Rows are added one at a time, as Kannan and Bachem do (SIAM J.
+    Comput. 1979).  A row whose leading column has no pivot row yet
+    becomes it, made positive at its pivot.  Otherwise the row is combined
+    with that pivot row: by one `_axpy` when the pivot divides its leading
+    entry, else by the unimodular 2x2 step of the extended gcd, which makes
+    the gcd the new pivot and clears the row's leading entry.  Each time a
+    pivot is made or changed, the entries above it are reduced modulo it,
+    so no entry outgrows the pivots while rows are added; a last pass from
+    the last pivot up reduces each row by the later ones.  The pivot rows
+    then fill rows t.. in pivot order, and the rows that became zero
+    follow.
+    """
+    echelon = {}  # pivot column: (row of D, row of U)
+    zeros = []
+
+    def reduce_above(c):
+        P, PU = echelon[c]
+        p = P[c]
+        for k, (R, RU) in echelon.items():
+            if k < c and c in R:
+                q = R[c] // p
+                if q:
+                    _axpy(R, P, q)
+                    _axpy(RU, PU, q)
+
+    for r, u in zip(D[t:], U[t:]):
+        while r:
+            c = min(r)
+            if c not in echelon:
+                if r[c] < 0:
+                    r = {k: -e for k, e in r.items()}
+                    u = {k: -e for k, e in u.items()}
+                echelon[c] = (r, u)
+                reduce_above(c)
+                break
+            P, PU = echelon[c]
+            p, e = P[c], r[c]
+            if e % p == 0:
+                _axpy(r, P, e // p)
+                _axpy(u, PU, e // p)
+                continue
+            g, x, y = _xgcd(p, e)
+            a, b = e // g, -(p // g)  # determinant x * b - y * a = -1
+            echelon[c] = (sparse_sum(((x, P), (y, r))), sparse_sum(((x, PU), (y, u))))
+            r, u = sparse_sum(((a, P), (b, r))), sparse_sum(((a, PU), (b, u)))
+            reduce_above(c)
+        else:  # the row became zero
+            zeros.append(u)
+    cols = sorted(echelon)
+    rows = {c: echelon[c][0] for c in cols}
+    for c in reversed(cols):
+        RU = echelon[c][1]
+        for k, q in _reduce(rows[c], rows, c).items():
+            _axpy(RU, echelon[k][1], q)
+    D[t:] = list(rows.values()) + [{} for _ in zeros]
+    U[t:] = [echelon[c][1] for c in cols] + zeros
+
+
 def smith(A: IntMatrix) -> SmithDecomposition:
     """Smith normal form over Z.
 
@@ -300,9 +373,21 @@ def smith(A: IntMatrix) -> SmithDecomposition:
       |e| = 1, because no nonzero entry is smaller and a later entry of
       equal size never replaces an earlier one, so the rule would pick
       that entry anyway;
-    - when the pivot is p = 1, the scan for an entry of the remaining
-      block not divisible by p is skipped, because every integer is
-      divisible by 1 and the scan could only come back empty.
+    - when the pivot p divides every entry of rows t.., as p = 1 does,
+      the row and column phases leave no remainder and the scan for an
+      entry of the remaining block not divisible by p is skipped, since
+      it could only come back empty.
+
+    Any other pivot starts a loop of remainders, in which the entries of
+    U and V can grow far past any bound on |det A|: dense 28 x 28
+    matrices with entries in [-9, 9] reached a million bits.  So when the
+    scan finds no entry of absolute value 1 and some entry of rows t.. is
+    not a multiple of the smallest, rows t.. of D are first put in
+    reduced row Hermite form, with the same row operations on U
+    (`_hermite_rows`).  The scan then runs again and step t goes on as
+    before, on entries no larger than the Hermite pivots; on a dense
+    square input all but the last of them are usually 1.  The Hermite
+    step runs at most once per step t.
 
     Elimination runs on sparse state: the rows of D and U are dicts
     {column: nonzero entry} and the columns of V are dicts {row: nonzero
@@ -315,11 +400,13 @@ def smith(A: IntMatrix) -> SmithDecomposition:
       of D is the pivot alone, so subtracting a multiple of it from a
       later column changes only row t of D (and that column of V).
 
-    Every operation is the one dense elimination would make, in the same
-    order and on the same pivots; on the zero entries it skips, dense
-    elimination would add or move only zeros.  So U, D and V are entry
-    for entry those of the dense loop, kept as the test reference
-    `reference_smith`.
+    Until the Hermite step first runs, every operation is the one dense
+    elimination would make, in the same order and on the same pivots; on
+    the zero entries it skips, dense elimination would add or move only
+    zeros.  So where no pivot other than 1 leaves a remainder, U, D and V
+    are entry for entry those of the dense loop, kept as the test
+    reference `reference_smith`.  Elsewhere D is the same, since the
+    Smith form is unique, and U and V are other unimodular transforms.
 
     >>> A = IntMatrix([[2, 4], [6, 8]])
     >>> s = smith(A)
@@ -329,23 +416,25 @@ def smith(A: IntMatrix) -> SmithDecomposition:
     True
     """
     m, n = A.rows, A.cols
-    D = [{j: e for j, e in enumerate(row) if e} for row in A.data]
+    D = [_sparse(row) for row in A.data]
     U = [{i: 1} for i in range(m)]
     V = [{j: 1} for j in range(n)]  # V[j] is column j of V
 
     def col_swap(t, j):  # rows above t are zero in both columns
         for i in range(t, m):
             row = D[i]
-            a = row.pop(t, 0)
-            b = row.pop(j, 0)
-            if b:
-                row[t] = b
-            if a:
-                row[j] = a
+            if t in row or j in row:
+                a = row.pop(t, 0)
+                b = row.pop(j, 0)
+                if b:
+                    row[t] = b
+                if a:
+                    row[j] = a
         V[t], V[j] = V[j], V[t]
 
     t = 0
     limit = min(m, n)
+    hermite_at = -1  # once per step, or the rescan after it would call it again
     while t < limit:
         best = 0
         pivot = None
@@ -360,6 +449,12 @@ def smith(A: IntMatrix) -> SmithDecomposition:
                         break
         if pivot is None:
             break
+        # a pivot that divides every entry of rows t.. leaves no remainder
+        exact = best == 1 or not any(e % best for row in D[t:] for e in row.values())
+        if not exact and hermite_at != t:
+            _hermite_rows(D, U, t)
+            hermite_at = t
+            continue
         i, j = pivot
         if i != t:
             D[t], D[i] = D[i], D[t]
@@ -405,7 +500,7 @@ def smith(A: IntMatrix) -> SmithDecomposition:
                 del Dt[j]
             if dirty:
                 continue
-            if p == 1:
+            if exact:
                 break
             # pivot row and column are clear; enforce divisibility of the rest
             bad = next((i for i in range(t + 1, m)

@@ -7,12 +7,13 @@ not tautology.
 
 The dense_* functions and reference_smith are the package's earlier dense
 kernels, which visit every entry: the sparse-aware kernels that replaced
-them must agree with them exactly.  reference_hnf_rows is the earlier
-dense row Hermite form, and reference_kernel and reference_preimage_lattice
-the earlier Smith-based kernel and preimage, put in canonical form by
-reference_hnf_rows: the sparse Hermite elimination must give the same
-canonical bases.  reference_eval_sequent is the
-package's earlier sequent evaluator, which walks the formula tree once
+them must agree with them exactly, and `smith` wherever no pivot other
+than 1 leaves a remainder (see reference_smith).  reference_hnf_rows is
+the earlier dense row Hermite form, and reference_kernel and
+reference_preimage_lattice the earlier Smith-based kernel and preimage,
+put in canonical form by reference_hnf_rows: the sparse Hermite
+elimination must give the same canonical bases.  reference_eval_sequent
+is the package's earlier sequent evaluator, which walks the formula tree once
 per assignment on carrier tuples: the compiled evaluator must agree with
 it exactly.  reference_finite_structure is the earlier export, which maps
 every carrier element on its own and hashes a coordinate tuple for every
@@ -144,9 +145,15 @@ def quotient_invariants(ngens, relation_rows):
 
 
 def reference_smith(A):
-    """(U, D, V) of the Smith form by the package's earlier dense loop,
-    which runs every row and column operation on whole lists: the sparse
-    `smith` must give the same three matrices, entry for entry."""
+    """(U, D, V, remainder) of the Smith form by the package's earlier
+    dense loop, which runs every row and column operation on whole lists.
+
+    `remainder` says whether some pivot other than 1 ever left a
+    remainder, in its column, in its row or in the rest of the block.
+    Until that happens `smith` runs the same operations; where it never
+    does, `smith` must give the same three matrices, entry for entry.
+    Elsewhere `smith` puts the block in Hermite form first, and only D,
+    which is unique, must be the same."""
     m, n = A.rows, A.cols
     D = [list(row) for row in A.data]
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
@@ -187,6 +194,7 @@ def reference_smith(A):
 
     t = 0
     limit = min(m, n)
+    remainder = False
     while t < limit:
         best = None
         pivot = None
@@ -219,7 +227,7 @@ def reference_smith(A):
                     row_sub(i, t, D[i][t] // p)
                     if D[i][t]:  # remainder is a strictly smaller pivot
                         row_swap(t, i)
-                        dirty = True
+                        dirty = remainder = True
                         break
             if dirty:
                 continue
@@ -228,7 +236,7 @@ def reference_smith(A):
                     col_sub(j, t, D[t][j] // p)
                     if D[t][j]:
                         col_swap(t, j)
-                        dirty = True
+                        dirty = remainder = True
                         break
             if dirty:
                 continue
@@ -247,8 +255,9 @@ def reference_smith(A):
             if bad is None:
                 break
             row_add(t, bad)
+            remainder = True
         t += 1
-    return IntMatrix(U, m, m), IntMatrix(D, m, n), IntMatrix(V, n, n)
+    return IntMatrix(U, m, m), IntMatrix(D, m, n), IntMatrix(V, n, n), remainder
 
 
 def reference_hnf_rows(A):
@@ -301,7 +310,7 @@ def reference_lattice_basis(G):
 def reference_kernel(A):
     """A basis of the integer kernel of A, not canonical: the columns of
     the dense Smith form's V that face a zero diagonal entry."""
-    _, D, V = reference_smith(A)
+    _, D, V, _ = reference_smith(A)
     cols = [V.col(j) for j in range(A.cols)
             if (D.data[j][j] if j < A.rows else 0) == 0]
     return IntMatrix.from_cols(cols, A.cols)
@@ -399,7 +408,7 @@ def dense_solve(A, b):
     """One integer solution of A x = b through the dense Smith form, or None."""
     if len(b) != A.rows:
         raise ValueError("right-hand side of wrong length")
-    U, D, V = reference_smith(A)
+    U, D, V, _ = reference_smith(A)
     c = dense_apply(U, b)
     y = [0] * A.cols
     for i in range(A.rows):
