@@ -15,7 +15,8 @@ sha256 of the summary as sorted JSON.
 
 Enumeration rungs time `validate --flavor core,homotopy,cd` through
 `homlab.cli.main`, whose cost is the brute-force sequent enumeration:
-the 4-cycle diagram at Z/11 and Z/13 and the 3-edge circle at Z/97.
+the 4-cycle diagram at Z/11 and Z/13 and the 3-edge circle at Z/97,
+Z/193 and Z/389.
 The sequent rung times `sequent` through `homlab.cli.main` on the same
 4-cycle diagram at Z/11, with the five sequents of perfbench's
 `enumerate` workload written into its text.
@@ -141,6 +142,8 @@ CLI_RUNGS = {
     "cycle4/Zmod11": (CYCLE4, ["--coeff", "Zmod11", *VALIDATE_FLAGS]),
     "cycle4/Zmod13": (CYCLE4, ["--coeff", "Zmod13", *VALIDATE_FLAGS]),
     "circle3/Zmod97": (CIRCLE3, ["--coeff", "Zmod97", *VALIDATE_FLAGS]),
+    "circle3/Zmod193": (CIRCLE3, ["--coeff", "Zmod193", *VALIDATE_FLAGS]),
+    "circle3/Zmod389": (CIRCLE3, ["--coeff", "Zmod389", *VALIDATE_FLAGS]),
     "sequent/cycle4/Zmod11": (CYCLE4_SEQUENTS, ["--coeff", "Zmod11"]),
     "end-algebra/torus3/Z": (TORUS3, []),
     "end-algebra/torus3/Z2": (TORUS3, ["--coeff", "Zmod2"]),

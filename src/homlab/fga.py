@@ -978,8 +978,9 @@ class GroupHom:
         """Equality as maps of presented groups (columns agree mod relations)."""
         if self.source != other.source or self.target != other.target:
             return False
-        diff = self.matrix - other.matrix
-        return GroupHom(self.source, self.target, diff).nonzero_column() is None
+        pairs = zip(self.matrix.columns(), other.matrix.columns())
+        return first_nonzero((_sparse(tuple(map(int.__sub__, a, b))) for a, b in pairs),
+                             self.target) is None
 
     def is_zero(self) -> bool:
         return self.nonzero_column() is None

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product, repeat
-from operator import and_, eq, gt, itemgetter, not_, or_
+from operator import eq, itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .fga import CanonicalForm, GroupHom, composite_is_zero, hom_concat, hom_stack, kernel_in_image
@@ -601,6 +601,24 @@ class EvalResult:
         return self.valid
 
 
+def _getter(row) -> Callable:
+    """r -> (r[row[0]], r[row[1]], ...), a tuple also for a row of one."""
+    get = itemgetter(*row)
+    return get if len(row) > 1 else lambda r: (get(r),)
+
+
+def _value_index(row, bits) -> dict:
+    """{value: the truth vector of the positions where row holds it}.
+    A value held once maps to the shared bits[i] (position i alone), so
+    indexing every row of a sum table adds dict slots but no ints."""
+    index = dict(zip(row, bits))
+    if len(index) < len(row):   # a value repeats: join its positions
+        index = {}
+        for v, bit in zip(row, bits):
+            index[v] = index.get(v, 0) | bit
+    return index
+
+
 class _Compiler:
     """Turns terms and formulas into closures over a list of slot values.
 
@@ -615,12 +633,22 @@ class _Compiler:
     once per binding of its own variables.  `term` returns (closure,
     sort, is_vector) and `formula` returns (closure, is_vector).
 
-    A vector formula closure takes (env, settled), where settled marks the
-    positions whose value no longer matters, and may be true there
-    whatever the formula says.  An `Exists` starts from settled and stops
-    once every position is settled or has a witness, and its body is
-    told which positions have one.  So, as on the scalar path, witnesses
-    are searched for only where the antecedent holds.
+    A row closure is a vector closure known to return row sel(env) of a
+    fixed table (`rows` maps it to (table, sel)): the axis, its image
+    under a symbol or negation, and a scalar plus the axis.  A row equated
+    with a scalar is looked up in an index of the row's values, and a
+    scalar plus a row composes the row with a row of the sum table by an
+    `itemgetter`.  Each is built once per row, inside the closures, so
+    nothing outlives the call.
+
+    A vector formula closure returns a truth vector, an int with one byte
+    per axis position: 1 where the formula holds, 0 where it fails.  It
+    takes (env, settled), where settled marks the positions whose value
+    no longer matters, and may be true there whatever the formula says.
+    An `Exists` starts from settled and stops once every position is
+    settled or has a witness, and its body is told which positions have
+    one.  So, as on the scalar path, witnesses are searched for only
+    where the antecedent holds.
     """
 
     def __init__(self, st: FiniteStructure, nslots: int, axis: Optional[int],
@@ -628,15 +656,21 @@ class _Compiler:
         self.st = st
         self.nslots = nslots
         self.axis = axis
-        positions = list(range(size))
-        self.axis_var = lambda env: positions
-        self.every = [True] * size
-        self.none = [False] * size
+        self.rows: Dict[Callable, tuple] = {}
+        self.axis_var = self._row([list(range(size))])
+        self.bits = [1 << (i << 3) for i in range(size)]
+        self.every = int.from_bytes(b"\1" * size, "little")
+
+    def _row(self, table, sel=lambda env: 0) -> Callable:
+        """The row closure env -> table[sel(env)]."""
+        row = lambda env: table[sel(env)]
+        self.rows[row] = table, sel
+        return row
 
     def _mapped(self, table, a) -> Callable:
         """The vector closure of table[arg], given that of arg."""
         if a is self.axis_var:
-            return lambda env: table
+            return self._row([table])
         return lambda env: list(map(table.__getitem__, a(env)))
 
     def term(self, term, slots) -> Tuple[Callable, str, bool]:
@@ -663,10 +697,20 @@ class _Compiler:
                 if av:      # sums[a[i]][i] = sums[i][a[i]]
                     add = lambda env: list(map(list.__getitem__, sums, a(env)))
                 else:
-                    add = lambda env: sums[a(env)]
+                    add = self._row(sums, a)
             elif av:
                 add = lambda env: list(map(list.__getitem__,
                                            map(sums.__getitem__, a(env)), b(env)))
+            elif b in self.rows:    # sums[a][table[k][i]] at each position i
+                table, sel = self.rows[b]
+                getters = [None] * len(table)
+
+                def add(env):
+                    k = sel(env)
+                    get = getters[k]
+                    if get is None:
+                        get = getters[k] = _getter(table[k])
+                    return list(get(sums[a(env)]))
             else:
                 add = lambda env: list(map(sums[a(env)].__getitem__, b(env)))
             return add, sort, True
@@ -690,28 +734,33 @@ class _Compiler:
     def formula(self, formula, slots) -> Tuple[Callable, bool]:
         if isinstance(formula, Top):
             return (lambda env: True), False
+        every = self.every
         if isinstance(formula, Eq):
             a, _, av = self.term(formula.left, slots)
             b, _, bv = self.term(formula.right, slots)
             if not (av or bv):
                 return (lambda env: a(env) == b(env)), False
-            every = self.every
             if av and bv:
                 def eq_each(env, settled):
                     x, y = a(env), b(env)
                     if x == y:
                         return every
-                    return list(map(eq, x, y))
+                    return int.from_bytes(bytes(map(eq, x, y)), "little")
                 return eq_each, True
             scalar, vector = (b, a) if av else (a, b)
-            size = len(every)
+            if vector in self.rows:
+                table, sel = self.rows[vector]
+                indexes, bits = [None] * len(table), self.bits
 
-            def eq_scalar(env, settled):
-                x, y = scalar(env), vector(env)
-                if y.count(x) == size:
-                    return every
-                return [x == e for e in y]
-            return eq_scalar, True
+                def eq_row(env, settled):
+                    k = sel(env)
+                    index = indexes[k]
+                    if index is None:
+                        index = indexes[k] = _value_index(table[k], bits)
+                    return index.get(scalar(env), 0)
+                return eq_row, True
+            return (lambda env, settled: int.from_bytes(
+                bytes(map(scalar(env).__eq__, vector(env))), "little")), True
         if isinstance(formula, And):
             a, av = self.formula(formula.left, slots)
             b, bv = self.formula(formula.right, slots)
@@ -720,14 +769,11 @@ class _Compiler:
             if av and bv:
                 def both(env, settled):
                     x = a(env, settled)
-                    if True not in x:
-                        return x
-                    return list(map(and_, x, b(env, settled)))
+                    return x and x & b(env, settled)
                 return both, True
             scalar, vector = (b, a) if av else (a, b)
-            none = self.none
             return (lambda env, settled: vector(env, settled) if scalar(env)
-                    else none), True
+                    else 0), True
         if isinstance(formula, Exists):
             slot = self.nslots
             self.nslots += 1
@@ -738,10 +784,10 @@ class _Compiler:
                 def exists_each(env, settled):
                     hit = settled
                     for i in positions:
-                        if False not in hit:
+                        if hit == every:
                             break
                         env[slot] = i
-                        hit = list(map(or_, hit, body(env, hit)))
+                        hit |= body(env, hit)
                     return hit
                 return exists_each, True
 
@@ -789,43 +835,35 @@ def _level(slot, positions, ante, cons, inner) -> Callable:
     return search
 
 
-def _last_level(slot, ante, cons, vante, vcons, none) -> Callable:
+def _last_level(slot, ante, cons, vante, vcons, every) -> Callable:
     """The search of the axis slot.  Like `_level`, it first tests the
     scalar formulas `ante` and `cons` of its depth; `vante` and `vcons`
     are the vector closures of the formulas that mention the axis (one at
     least is not None), and the first counterexample is the first
     position where the antecedent holds and the consequent fails.  The
     consequent is told that the positions where the antecedent fails are
-    settled; `none` settles no position.
+    settled; `every` is the truth vector of every position.
     """
     if vante is None:
-        def first(env):
-            v = vcons(env, none)
-            return v.index(False) if False in v else -1
+        def failing(env):
+            return every ^ vcons(env, 0)
     elif vcons is None:
-        def first(env):
-            v = vante(env, none)
-            return v.index(True) if True in v else -1
+        def failing(env):
+            return vante(env, 0)
     else:
-        def first(env):
-            v = vante(env, none)
-            if True not in v:
-                return -1
-            c = vcons(env, list(map(not_, v)))
-            if False not in c:
-                return -1
-            v = list(map(gt, v, c))
-            return v.index(True) if True in v else -1
+        def failing(env):
+            v = vante(env, 0)
+            return v and v & ~vcons(env, every ^ v)
 
     def search(env):
         if ante is not None and not ante(env):
             return False
         if cons is not None and cons(env):
             return False
-        i = first(env)
-        if i < 0:
+        v = failing(env)
+        if not v:
             return False
-        env[slot] = i
+        env[slot] = (v & -v).bit_length() >> 3     # the lowest byte set
         return True
     return search
 
@@ -863,7 +901,7 @@ def eval_sequent(st: FiniteStructure, seq: Sequent) -> EvalResult:
         search = _last_level(axis, ante if ante_depth == axis else None,
                              cons if cons_depth == axis else None,
                              ante if ante_depth == top else None,
-                             cons if cons_depth == top else None, compiler.none)
+                             cons if cons_depth == top else None, compiler.every)
         for d in range(axis - 1, -1, -1):
             search = _level(d, range(len(st.carriers[seq.context[d][1]])),
                             ante if ante_depth == d else None,

@@ -519,6 +519,41 @@ def test_nonzero_column():
         .nonzero_column() is None
 
 
+def test_equal_to_tests_the_column_differences(monkeypatch):
+    # equal_to hands the sparse columns of f - g to first_nonzero, with no
+    # dense difference built, and finds the column the dense test finds
+    rng = random.Random(2101)
+    src = FgAbGroup.free(4)
+    targets = [FgAbGroup.free(2), FgAbGroup.cyclic(4),
+               FgAbGroup(3, IntMatrix([[2, 0, 0], [0, 6, 0], [2, 6, 0]]))]
+    first_nonzero = homlab.fga.first_nonzero
+    found = []
+    pairs = []
+    for _ in range(60):
+        tgt = rng.choice(targets)
+        f = random_matrix(rng, tgt.ngens, src.ngens, -3, 3)
+        rels = tgt.relations.data or [(0,) * tgt.ngens]
+        # each column of g: that of f, plus a relation or anything
+        gcols = [tuple(a + rng.choice((0, 1, -2)) * r
+                       for a, r in zip(col, rng.choice(rels)))
+                 if rng.random() < 0.7 else
+                 tuple(rng.randint(-3, 3) for _ in col)
+                 for col in f.columns()]
+        g = IntMatrix(list(map(list, zip(*gcols))), tgt.ngens, src.ngens)
+        want = GroupHom(src, tgt, f - g).nonzero_column()
+        pairs.append((GroupHom(src, tgt, f), GroupHom(src, tgt, g), want))
+    monkeypatch.setattr(homlab.fga, "first_nonzero", lambda cols, target: (
+        found.append(first_nonzero(cols, target)) or found[-1]))
+    monkeypatch.setattr(IntMatrix, "__sub__", None)
+    monkeypatch.setattr(IntMatrix, "__add__", None)
+    for f, g, want in pairs:
+        found.clear()
+        assert f.equal_to(g) == (want is None)
+        assert found == [want]
+    wants = [want for _, _, want in pairs]
+    assert None in wants and len(set(wants)) > 2
+
+
 def test_rank_helper():
     assert smith(IntMatrix([[2, 4], [6, 8]])).rank == 2
     assert smith(IntMatrix.zeros(3, 2)).rank == 0

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 from collections import Counter
@@ -517,13 +518,46 @@ def test_compiled_evaluator_matches_reference(modulus):
 # -- the vector path of the last search level ---------------------------------
 
 
-def vector_path_sequents(s, f, one):
-    """Sequents over sort s, f an endomorphism of s and `one` a sort of one
-    element.  The axis is y (or u): the terms below take every scalar and
-    vector form of `Add`, `Neg` and `App`, the axis variable itself among
-    them, and the formulas every mix of scalar and vector parts of `Eq`,
-    `And` and `Exists`, with the axis level holding only an antecedent,
-    only a consequent, or both."""
+def row_path_sequents(s, f):
+    """Sequents on x and y of sort s, y the axis, f an endomorphism of s,
+    whose vector terms are rows of a table (the axis plus a scalar, the
+    image of the axis) or a scalar plus such a row: each row equated with
+    a scalar on either side, each composed row with a row, and `Exists`
+    over row equations, alone and inside `And`."""
+    x, y, w = Var("x"), Var("y"), Var("w")
+    rows = [Add(x, y), Add(y, x), App(f, y)]
+    scalars = [x, App(f, x), Zero(s)]
+    composed = [Add(x, Add(x, y)), Add(App(f, x), Add(y, x))]
+    eqs = [Eq(r, c) for r in rows for c in scalars]
+    eqs += [Eq(c, r) for r in rows for c in scalars]
+    eqs += [Eq(a, b) for a in composed for b in rows + composed]
+    eqs += [Eq(b, a) for a in composed for b in rows]
+    xy = (("x", s), ("y", s))
+    out = [Sequent(xy, Top(), e) for e in eqs]
+    out += [Sequent(xy, a, b) for a, b in zip(eqs, eqs[7:] + eqs[:7])]
+    exists = [
+        Exists("w", s, Eq(Add(w, y), x)),
+        Exists("w", s, Eq(App(f, x), Add(y, w))),
+        Exists("w", s, Eq(w, App(f, y))),
+        Exists("w", s, And(Eq(Add(y, w), x), Eq(App(f, y), App(f, w)))),
+        Exists("w", s, And(Eq(App(f, w), x), Eq(Add(w, y), App(f, x)))),
+        And(Exists("w", s, Eq(Add(w, y), App(f, x))), Eq(Add(x, y), Zero(s))),
+    ]
+    for e in exists:
+        out += [Sequent(xy, ante, e) for ante in
+                (Top(), Eq(App(f, y), y), Eq(App(f, x), x), Eq(Add(x, y), x))]
+    return out
+
+
+def vector_path_sequents(s, f, one, g):
+    """Sequents over sort s, f an endomorphism of s, `one` a sort of one
+    element and g an endomorphism of it.  The axis is y (or u): the terms
+    below take every scalar and vector form of `Add`, `Neg` and `App`, the
+    axis variable itself among them, and the formulas every mix of scalar
+    and vector parts of `Eq`, `And` and `Exists`, with the axis level
+    holding only an antecedent, only a consequent, or both; the row forms
+    of `row_path_sequents` are taken on s and on `one`, where a row has
+    one position."""
     x, y, u, w, v = Var("x"), Var("y"), Var("u"), Var("w"), Var("v")
     scalars = [x, App(f, x), Neg(x), Add(x, App(f, x)), Zero(s)]
     vectors = [y, App(f, y), Neg(y), App(f, Add(x, y)), Neg(App(f, y)),
@@ -563,7 +597,49 @@ def vector_path_sequents(s, f, one):
                  And(fixed, Eq(Add(u, u), u))):
         out += [Sequent(xu, Top(), cons), Sequent(xu, fixed, cons),
                 Sequent(xu, Eq(u, Add(u, u)), fixed)]
-    return out
+    return out + row_path_sequents(s, f) + row_path_sequents(one, g)
+
+
+def test_table_edits_between_calls_are_seen():
+    # the row indexes and getters of a call must not outlive it, on the
+    # structure or anywhere else: edits to a function table and to a sum
+    # table after calls that read them are seen by the next call, which
+    # answers as a first call on a copy of the edited structure does
+    diagram = cycle_diagram()
+    model = HomologyModel(diagram, modulus=3, window=(0, 1))
+    sig = generate_signature(diagram, (0, 1))
+    st = export_finite_structure(model, sig)
+    s, f = "h1(C,A)", "e@1"
+    carrier = st.carriers[s]
+    x, y, w = Var("x"), Var("y"), Var("w")
+    xy = (("x", s), ("y", s))
+    sequents = [
+        Sequent(xy, Eq(Add(x, y), Zero(s)), Eq(y, Neg(x))),
+        Sequent(xy, Eq(App(f, y), x), Eq(App(f, x), y)),
+        Sequent(xy, Top(), Eq(Add(x, App(f, y)), App(f, Add(App(f, x), y)))),
+        Sequent(xy, Top(), Exists("w", s, Eq(Add(x, Add(w, y)), App(f, y)))),
+        Sequent(xy, Top(), Eq(Add(x, Add(x, y)), Add(Add(x, x), y))),
+    ]
+    for q in sequents:
+        check_sequent(sig, q)
+
+    def answers(structure):
+        return [eval_sequent(structure, q) for q in sequents]
+
+    first = answers(st)
+    assert first == answers(st)
+    table = st.tables[f]
+    table[carrier[1]], table[carrier[2]] = table[carrier[2]], table[carrier[1]]
+    fresh = copy.deepcopy(st)
+    second = answers(st)
+    assert second == answers(fresh) != first
+    assert second == [reference_eval_sequent(st, q) for q in sequents]
+    sums = st.sum_table(s)
+    sums[0][1] = sums[1][0] = 0     # e1 + 0 = 0, in both orders
+    fresh = copy.deepcopy(st)
+    third = answers(st)
+    assert third == answers(fresh) != second
+    assert vars(st) == vars(fresh)
 
 
 @pytest.mark.parametrize("modulus", [2, 3])
@@ -571,7 +647,7 @@ def test_vector_path_matches_reference(modulus):
     diagram = cycle_diagram()
     model = HomologyModel(diagram, modulus=modulus, window=(0, 1))
     sig = generate_signature(diagram, (0, 1))
-    sequents = vector_path_sequents("h1(C,A)", "e@1", "h0(C,A)")
+    sequents = vector_path_sequents("h1(C,A)", "e@1", "h0(C,A)", "e@0")
     rng = random.Random(3000 + modulus)
     invalid = []
     for tampered in (False, True):
