@@ -30,6 +30,8 @@ from .logic import (
     Top,
     Var,
     Zero,
+    check_sequent,
+    sort_name,
 )
 from .simp import (
     EMPTY_NAME,
@@ -53,7 +55,7 @@ _TOKEN_RE = re.compile(
       | (?P<COMMENT>\#.*)
       | (?P<ARROW>->)
       | (?P<TURNSTILE>\|-)
-      | (?P<IDENT>[A-Za-z0-9_]+(?:\.[A-Za-z0-9_]+)*)
+      | (?P<IDENT>""" + _IDENT_RE.pattern + r""")
       | (?P<QUOTED>"[^"\n]*")
       | (?P<OP>[{}()\[\],:/=.&+\-@])
     """,
@@ -227,6 +229,62 @@ def _vertex(p: _Parser) -> Token:
     return tok
 
 
+def _listed(p: _Parser, close: str, item, empty: bool) -> list:
+    """The comma separated items up to `close`, after the opening bracket;
+    `item(p, items)` reads one, given those read so far.  `empty` allows
+    a list with none."""
+    items = []
+    if empty and not p.at_end() and p.peek().text == close:
+        p.next()
+        return items
+    while True:
+        items.append(item(p, items))
+        tok = p.next(f"expected ',' or {close!r}")
+        if tok.text == close:
+            return items
+        if tok.text != ",":
+            p.error(f"expected ',' or {close!r}", tok)
+
+
+def _simplex(p: _Parser, _) -> tuple:
+    tok = p.next("expected a simplex literal or '}'")
+    if tok.kind != "IDENT" or "." in tok.text:
+        p.error("expected a simplex literal", tok)
+    if len(set(tok.text)) != len(tok.text):
+        p.error("repeated vertex in simplex literal", tok)
+    return tuple(tok.text)
+
+
+def _map_entry(p: _Parser, entries) -> tuple:
+    tok = p.next("expected a vertex or '}'")
+    if tok.kind != "IDENT" or len(tok.text) != 1:
+        p.error("vertex labels are single characters", tok)
+    if tok.text in dict(entries):
+        p.error("vertex mapped twice", tok)
+    p.expect(":")
+    return tok.text, _vertex(p).text
+
+
+def _arrow(p: _Parser, parts: set, what: str, end):
+    """`NAME : SRC -> TGT by MAP` after its keyword; NAME, `what`, is
+    claimed as a diagram part and `end(p)` reads each end.  Returns the
+    name, both ends and the map token."""
+    name = p.ident(what)
+    _claim_part(parts, name)
+    p.expect(":")
+    src = end(p)
+    p.expect("->")
+    tgt = end(p)
+    p.expect("by")
+    return name, src, tgt, p.ident("a map name")
+
+
+# keyword: (what names it, the kind of part at its ends, its
+# DiagramBuilder step) for the maps between two diagram parts
+_PART_MAPS = {"squaremap": ("a square map name", "square", "add_square_map"),
+              "cube": ("a cube name", "triple", "add_cube")}
+
+
 def _parse_statement(p: _Parser, ws: WorkbenchSpec, parts: set):
     head = p.ident("a statement keyword")
     word = head.text
@@ -236,22 +294,7 @@ def _parse_statement(p: _Parser, ws: WorkbenchSpec, parts: set):
         _claim_complex(ws, name)
         p.expect("=")
         p.expect("{")
-        simplices = []
-        while True:
-            tok = p.next("expected a simplex literal or '}'")
-            if tok.text == "}" and not simplices:
-                break
-            if tok.kind != "IDENT" or "." in tok.text:
-                p.error("expected a simplex literal", tok)
-            labels = tuple(tok.text)
-            if len(set(labels)) != len(labels):
-                p.error("repeated vertex in simplex literal", tok)
-            simplices.append(labels)
-            tok = p.next("expected ',' or '}'")
-            if tok.text == "}":
-                break
-            if tok.text != ",":
-                p.error("expected ',' or '}'", tok)
+        simplices = _listed(p, "}", _simplex, empty=True)
         p.done()
         cx = SimplicialComplex.from_maximal_simplices(simplices)
         ws.diagram.add_complex(name.text, cx)
@@ -263,23 +306,7 @@ def _parse_statement(p: _Parser, ws: WorkbenchSpec, parts: set):
             p.error("map name already declared", name)
         p.expect("=")
         p.expect("{")
-        vmap: Dict[str, str] = {}
-        while True:
-            tok = p.next("expected a vertex or '}'")
-            if tok.text == "}" and not vmap:
-                break
-            if tok.kind != "IDENT" or len(tok.text) != 1:
-                p.error("vertex labels are single characters", tok)
-            if tok.text in vmap:
-                p.error("vertex mapped twice", tok)
-            p.expect(":")
-            img = _vertex(p)
-            vmap[tok.text] = img.text
-            tok = p.next("expected ',' or '}'")
-            if tok.text == "}":
-                break
-            if tok.text != ",":
-                p.error("expected ',' or '}'", tok)
+        vmap = dict(_listed(p, "}", _map_entry, empty=True))
         p.done()
         ws.maps[name.text] = vmap
         return
@@ -297,14 +324,8 @@ def _parse_statement(p: _Parser, ws: WorkbenchSpec, parts: set):
         return
 
     if word == "edge":
-        name = p.ident("an edge name")
-        _claim_part(parts, name)
-        p.expect(":")
-        src = _pair_ref(p, ws)
-        p.expect("->")
-        tgt = _pair_ref(p, ws)
-        p.expect("by")
-        mtok = p.ident("a map name")
+        name, src, tgt, mtok = _arrow(p, parts, "an edge name",
+                                      lambda p: _pair_ref(p, ws))
         vmap = _get_map(ws, mtok)
         p.done()
         _assemble(mtok, ws.diagram.add_edge, name.text, src, tgt, vmap)
@@ -345,41 +366,18 @@ def _parse_statement(p: _Parser, ws: WorkbenchSpec, parts: set):
                   v.text)
         return
 
-    if word == "squaremap":
-        name = p.ident("a square map name")
-        _claim_part(parts, name)
-        p.expect(":")
-        src = p.ident("a square name")
-        p.expect("->")
-        tgt = p.ident("a square name")
-        p.expect("by")
-        mtok = p.ident("a map name")
+    if word in _PART_MAPS:
+        what, end, step = _PART_MAPS[word]
+        name, src, tgt, mtok = _arrow(p, parts, what,
+                                      lambda p: p.ident(f"a {end} name"))
         p.done()
+        known = getattr(ws.diagram.assembled, end + "s")
         for t in (src, tgt):
-            if t.text not in ws.diagram.assembled.squares:
-                raise DslError(t.line, t.col, f"unknown square {t.text!r}")
+            if t.text not in known:
+                raise DslError(t.line, t.col, f"unknown {end} {t.text!r}")
         vmap = _get_map(ws, mtok)
-        _assemble(mtok, ws.diagram.add_square_map, name.text, src.text,
+        _assemble(mtok, getattr(ws.diagram, step), name.text, src.text,
                   tgt.text, vmap)
-        ws.map_names[name.text] = mtok.text
-        return
-
-    if word == "cube":
-        name = p.ident("a cube name")
-        _claim_part(parts, name)
-        p.expect(":")
-        src = p.ident("a triple name")
-        p.expect("->")
-        tgt = p.ident("a triple name")
-        p.expect("by")
-        mtok = p.ident("a map name")
-        p.done()
-        for t in (src, tgt):
-            if t.text not in ws.diagram.assembled.triples:
-                raise DslError(t.line, t.col, f"unknown triple {t.text!r}")
-        vmap = _get_map(ws, mtok)
-        _assemble(mtok, ws.diagram.add_cube, name.text, src.text, tgt.text,
-                  vmap)
         ws.map_names[name.text] = mtok.text
         return
 
@@ -398,15 +396,8 @@ def _parse_statement(p: _Parser, ws: WorkbenchSpec, parts: set):
             return
         if tok.text != "[":
             p.error("expected 'skeletal' or '['", tok)
-        steps = []
-        while True:
-            t = p.ident("a complex name")
-            steps.append(t)
-            t2 = p.next("expected ',' or ']'")
-            if t2.text == "]":
-                break
-            if t2.text != ",":
-                p.error("expected ',' or ']'", t2)
+        steps = _listed(p, "]", lambda p, _: p.ident("a complex name"),
+                        empty=False)
         p.done()
         try:
             Filtration(basec, [_get_complex(ws, t) for t in steps])
@@ -484,37 +475,26 @@ def _parse_sort(p: _Parser, known) -> str:
         p.expect(")")
     elif nxt.text != ")":
         p.error("expected ',' or ')'", nxt)
-    if sub == EMPTY_NAME:
-        return f"h{degree}({total.text})"
-    return f"h{degree}({total.text},{sub})"
+    return sort_name((total.text, sub), degree)
 
 
 def _parse_sequent_body(p: _Parser, known) -> Sequent:
+    def entry(p, context):
+        var = p.ident("a variable name")
+        if var.text == "0":
+            p.error("0 is not a variable name", var)
+        if var.text in dict(context):
+            p.error("duplicate context variable", var)
+        p.expect(":")
+        return var.text, _parse_sort(p, known)
+
     p.expect("[")
-    context = []
-    bound = set()
-    if p.peek() is not None and p.peek().text == "]":
-        p.next()
-    else:
-        while True:
-            var = p.ident("a variable name")
-            if var.text == "0":
-                p.error("0 is not a variable name", var)
-            if var.text in bound:
-                p.error("duplicate context variable", var)
-            p.expect(":")
-            sort = _parse_sort(p, known)
-            context.append((var.text, sort))
-            bound.add(var.text)
-            tok = p.next("expected ',' or ']'")
-            if tok.text == "]":
-                break
-            if tok.text != ",":
-                p.error("expected ',' or ']'", tok)
-    ante = _parse_formula(p, known, set(bound))
+    context = tuple(_listed(p, "]", entry, empty=True))
+    bound = set(dict(context))
+    ante = _parse_formula(p, known, bound)
     p.expect("|-")
-    cons = _parse_formula(p, known, set(bound))
-    return Sequent(tuple(context), ante, cons)
+    cons = _parse_formula(p, known, bound)
+    return Sequent(context, ante, cons)
 
 
 def _parse_formula(p: _Parser, known, bound: set):
@@ -586,7 +566,7 @@ def _parse_factor(p: _Parser, known, bound: set):
     if tok.kind != "IDENT":
         p.error("expected a term", tok)
     if tok.text == "0":
-        # sort filled in against the signature by resolve_zeros
+        # sort filled in against the signature by check_sequent
         return Zero(None)
     if tok.text not in bound:
         p.error("unbound variable", tok)
@@ -594,58 +574,10 @@ def _parse_factor(p: _Parser, known, bound: set):
 
 
 def resolve_zeros(seq: Sequent, sig) -> Sequent:
-    """Give every bare zero literal the sort its equation forces.
-
-    The parser leaves Zero(None) since sorts of applied symbols are only
-    known once the signature exists.  Raises ValueError when an equation
-    has zeros on both sides and no symbol to pin them down.
-    """
-    def sort_of(t, env):
-        if isinstance(t, Var):
-            return env.get(t.name)
-        if isinstance(t, Zero):
-            return t.sort
-        if isinstance(t, Neg):
-            return sort_of(t.arg, env)
-        if isinstance(t, Add):
-            return sort_of(t.left, env) or sort_of(t.right, env)
-        if isinstance(t, App):
-            info = sig.funcs.get(t.func)
-            return None if info is None else info.target
-        return None
-
-    def fill(t, sort, env):
-        if isinstance(t, Zero) and t.sort is None:
-            if sort is None:
-                raise ValueError("cannot infer the sort of a zero literal")
-            return Zero(sort)
-        if isinstance(t, Neg):
-            return Neg(fill(t.arg, sort, env))
-        if isinstance(t, Add):
-            s = sort or sort_of(t, env)
-            return Add(fill(t.left, s, env), fill(t.right, s, env))
-        if isinstance(t, App):
-            info = sig.funcs.get(t.func)
-            return App(t.func,
-                       fill(t.arg, None if info is None else info.source,
-                            env))
-        return t
-
-    def walk(f, env):
-        if isinstance(f, Eq):
-            s = sort_of(f.left, env) or sort_of(f.right, env)
-            return Eq(fill(f.left, s, env), fill(f.right, s, env))
-        if isinstance(f, And):
-            return And(walk(f.left, env), walk(f.right, env))
-        if isinstance(f, Exists):
-            inner = dict(env)
-            inner[f.var] = f.sort
-            return Exists(f.var, f.sort, walk(f.body, inner))
-        return f
-
-    env = dict(seq.context)
-    return Sequent(seq.context, walk(seq.antecedent, env),
-                   walk(seq.consequent, env))
+    """The sequent sort-checked against the signature, each bare zero
+    given its sort: `logic.check_sequent`, which the parser leaves to run
+    once the signature exists."""
+    return check_sequent(sig, seq)
 
 
 # -- canonical printing -------------------------------------------------------

@@ -412,52 +412,69 @@ def generate_axioms(sig: Signature, diagram,
     return out
 
 
-# -- sequent type checking ---------------------------------------------------
+# -- sequent sort checking ---------------------------------------------------
 
 
-def _infer_term(sig: Signature, term, env: Dict[str, str]) -> str:
+def _term(sig: Signature, term, env: Dict[str, str], want):
+    """(term with its bare zeros sorted, its sort), checked.
+
+    `want` is the sort the place fixes, or None; it only sorts bare zeros,
+    and the caller compares sorts.  The sort is None only for a term of
+    bare zeros, negations and sums, which `want` did not fix.
+    """
     if isinstance(term, Var):
         if term.name not in env:
             raise ValueError(f"unbound variable {term.name!r}")
-        return env[term.name]
+        return term, env[term.name]
     if isinstance(term, Zero):
+        if term.sort is None:
+            return (term, None) if want is None else (Zero(want), want)
         if term.sort not in sig.sorts:
             raise ValueError(f"unknown sort {term.sort!r}")
-        return term.sort
+        return term, term.sort
+    if isinstance(term, Neg):
+        arg, a = _term(sig, term.arg, env, want)
+        return Neg(arg), a
     if isinstance(term, Add):
-        a = _infer_term(sig, term.left, env)
-        b = _infer_term(sig, term.right, env)
+        left, right, a, b = _sides(sig, term, env, want)
         if a != b:
             raise ValueError(f"sum mixes sorts {a} and {b}")
-        return a
-    if isinstance(term, Neg):
-        return _infer_term(sig, term.arg, env)
+        return Add(left, right), a
     if isinstance(term, App):
-        if term.func not in sig.funcs:
+        info = sig.funcs.get(term.func)
+        if info is None:
             raise ValueError(f"unknown symbol {term.func!r}")
-        info = sig.funcs[term.func]
-        a = _infer_term(sig, term.arg, env)
+        arg, a = _term(sig, term.arg, env, info.source)
         if a != info.source:
-            raise ValueError(
-                f"{term.func!r} expects {info.source}, got {a}")
-        return info.target
+            raise ValueError(f"{term.func!r} expects {info.source}, got {a}")
+        return App(term.func, arg), info.target
     raise TypeError(f"not a term: {term!r}")
 
 
-def _check_formula(sig: Signature, formula, env: Dict[str, str],
-                   allow_exists: bool):
+def _sides(sig: Signature, pair, env: Dict[str, str], want):
+    """_term of both sides of a sum or equation, with their sorts; the
+    sort of one side sorts the bare zeros of the other."""
+    left, a = _term(sig, pair.left, env, want)
+    right, b = _term(sig, pair.right, env, want or a)
+    if a is None and b is not None:
+        left, a = _term(sig, left, env, b)
+    return left, right, a, b
+
+
+def _formula(sig: Signature, formula, env: Dict[str, str],
+             allow_exists: bool):
     if isinstance(formula, Top):
-        return
+        return formula
     if isinstance(formula, Eq):
-        a = _infer_term(sig, formula.left, env)
-        b = _infer_term(sig, formula.right, env)
+        left, right, a, b = _sides(sig, formula, env, None)
+        if a is None:
+            raise ValueError("cannot infer the sort of a zero literal")
         if a != b:
             raise ValueError(f"equation mixes sorts {a} and {b}")
-        return
+        return Eq(left, right)
     if isinstance(formula, And):
-        _check_formula(sig, formula.left, env, allow_exists)
-        _check_formula(sig, formula.right, env, allow_exists)
-        return
+        return And(_formula(sig, formula.left, env, allow_exists),
+                   _formula(sig, formula.right, env, allow_exists))
     if isinstance(formula, Exists):
         if not allow_exists:
             raise ValueError("existential not allowed left of the turnstile")
@@ -467,12 +484,21 @@ def _check_formula(sig: Signature, formula, env: Dict[str, str],
             raise ValueError(f"unknown sort {formula.sort!r}")
         inner = dict(env)
         inner[formula.var] = formula.sort
-        _check_formula(sig, formula.body, inner, allow_exists)
-        return
+        return Exists(formula.var, formula.sort,
+                      _formula(sig, formula.body, inner, allow_exists))
     raise TypeError(f"not a formula: {formula!r}")
 
 
-def check_sequent(sig: Signature, seq: Sequent) -> None:
+def check_sequent(sig: Signature, seq: Sequent) -> Sequent:
+    """The sequent with every bare zero, Zero(None), given its sort.
+
+    One walk in reading order infers and checks every sort.  A zero takes
+    the sort its symbol's argument or its equation's other side fixes,
+    else the first sort found in its sum.  Raises ValueError naming the
+    first fault: an unknown sort or symbol, an unbound, duplicate or
+    shadowing variable, mixed sorts, an existential left of the
+    turnstile, or a zero whose equation fixes no sort.
+    """
     env: Dict[str, str] = {}
     for v, s in seq.context:
         if v in env:
@@ -480,8 +506,9 @@ def check_sequent(sig: Signature, seq: Sequent) -> None:
         if s not in sig.sorts:
             raise ValueError(f"unknown sort {s!r}")
         env[v] = s
-    _check_formula(sig, seq.antecedent, env, allow_exists=False)
-    _check_formula(sig, seq.consequent, env, allow_exists=True)
+    return Sequent(seq.context,
+                   _formula(sig, seq.antecedent, env, allow_exists=False),
+                   _formula(sig, seq.consequent, env, allow_exists=True))
 
 
 # -- finite structures and enumeration ---------------------------------------

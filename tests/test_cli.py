@@ -158,7 +158,8 @@ def test_sequent_type_error_exits_two(tmp_path):
 @pytest.mark.parametrize("body, flags, reason", [
     ("[x:h0(X)] top |- x = x", ("--window", "1..1"), "unknown sort 'h0(X)'"),
     ('[x:h0(X)] top |- ""@0(x) = x', (), "unknown symbol '@0'"),
-], ids=["sort", "symbol"])
+    ('[x:h0(X)] top |- nosuch@0(0) = x', (), "unknown symbol 'nosuch@0'"),
+], ids=["sort", "symbol", "symbol-on-zero"])
 def test_sequent_error_names_the_sequent(tmp_path, capsys, body, flags,
                                          reason):
     text = f"complex X = {{ab}}\nsequent s = {body}\nsequent\n"

@@ -209,6 +209,54 @@ def test_unbound_variable_is_located():
     assert "unbound variable" in str(err)
 
 
+ARROW_HEAD = "complex X = {ab}\nmap i = {a:a, b:b}\n"
+
+
+@pytest.mark.parametrize("text, line, col, message", [
+    ("complex X = {a, }\nvalidate\n", 1, 17,
+     "expected a simplex literal at token '}'"),
+    ("complex X = {a b}\nvalidate\n", 1, 16, "expected ',' or '}' at token 'b'"),
+    ("complex X = {a, \nvalidate\n", 1, 16, "expected a simplex literal or '}'"),
+    ("map f = {ab:c}\nvalidate\n", 1, 10,
+     "vertex labels are single characters at token 'ab'"),
+    ("map f = {a:b, a:c}\nvalidate\n", 1, 15, "vertex mapped twice at token 'a'"),
+    ("map f = {a:b, }\nvalidate\n", 1, 15,
+     "vertex labels are single characters at token '}'"),
+    ("complex X = {ab}\nfiltration F on X = []\ncellular F\n", 2, 22,
+     "expected a complex name at token ']'"),
+    ("complex X = {ab}\ncomplex A = {a}\nfiltration F on X = [A B]\n"
+     "cellular F\n", 3, 24, "expected ',' or ']' at token 'B'"),
+    ("complex X = {ab}\nsequent s = [x:h0(X) y:h0(X)] top |- x = x\n"
+     "sequent\n", 2, 22, "expected ',' or ']' at token 'y'"),
+    ("complex X = {a}\nsequent s = [\nsequent\n", 2, 14,
+     "expected a variable name"),
+    (ARROW_HEAD + "squaremap s : q -> q by i\nvalidate\n", 3, 15,
+     "unknown square 'q'"),
+    (ARROW_HEAD + "cube c : t -> t by i\nvalidate\n", 3, 10,
+     "unknown triple 't'"),
+    (ARROW_HEAD + "squaremap s : q -> q by i junk\nvalidate\n", 3, 27,
+     "trailing input at token 'junk'"),
+    (ARROW_HEAD + "edge e : X -> X by j junk\nvalidate\n", 3, 20,
+     "unknown map 'j'"),
+], ids=["simplex-after-comma", "simplex-no-comma", "simplex-cut",
+        "entry-label", "entry-twice", "entry-after-comma", "steps-empty",
+        "steps-no-comma", "context-no-comma", "context-cut",
+        "squaremap-unknown", "cube-unknown", "squaremap-trailing",
+        "edge-map-first"])
+def test_list_and_arrow_errors_are_located(text, line, col, message):
+    err = _parse_error(text)
+    assert str(err) == f"line {line}, column {col}: {message}"
+    assert (err.line, err.col) == (line, col)
+
+
+def test_empty_lists_are_accepted():
+    ws = parse("complex X = {}\nmap f = {}\nsequent s = [] top |- top\n"
+               "sequent\n")
+    assert ws.diagram.complexes["X"].simplices == frozenset()
+    assert ws.maps["f"] == {}
+    assert ws.sequents["s"].context == ()
+
+
 def test_filtration_steps_resolve():
     ws = parse("complex T = {abc}\n"
                "complex E = {ab, bc, ac}\n"

@@ -1,6 +1,8 @@
 import copy
+import dataclasses
 import itertools
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -12,6 +14,7 @@ from homlab.logic import (
     App,
     Eq,
     Exists,
+    FLAVORS,
     FiniteStructure,
     Neg,
     Sequent,
@@ -384,6 +387,51 @@ def test_check_sequent_errors():
     with pytest.raises(ValueError, match="expects"):
         check_sequent(sig, Sequent((("x", "h0(X)"),), Top(),
                                    Eq(App("t.bt@0", Var("x")), Var("x"))))
+
+
+def _rebuild(node, swap):
+    """node with each subterm or subformula that swap(sub) replaces (by
+    anything but None) replaced, in reading order."""
+    new = swap(node)
+    if new is not None:
+        return new
+    if not dataclasses.is_dataclass(node):
+        return node
+    return dataclasses.replace(node, **{
+        f.name: _rebuild(getattr(node, f.name), swap)
+        for f in dataclasses.fields(node)})
+
+
+@pytest.mark.parametrize("make", [
+    interval_triple_diagram, union_square_diagram, cycle_diagram,
+    lambda: axiom_suite_diagram(random.Random(5)),
+], ids=["triple", "square", "cycle", "suite"])
+def test_check_sequent_sorts_every_erased_zero(make):
+    """Every generated axiom comes back from check_sequent as it was after
+    its zeros lose their sorts, as a parsed bare 0 has none; and with its
+    first symbol renamed, check_sequent names that symbol."""
+    diagram = make()
+    sig = generate_signature(diagram, (0, 2))
+    renamed = 0
+    for axiom in generate_axioms(sig, diagram, FLAVORS):
+        erased = _rebuild(axiom.sequent, lambda n: Zero(None)
+                          if isinstance(n, Zero) else None)
+        assert check_sequent(sig, erased) == axiom.sequent, axiom.name
+        first = []
+
+        def rename(n):
+            if isinstance(n, App) and not first:
+                first.append("no" + n.func)
+                return App(first[0], n.arg)
+            return None
+
+        broken = _rebuild(erased, rename)
+        if first:
+            renamed += 1
+            with pytest.raises(ValueError, match=re.escape(
+                    f"unknown symbol {first[0]!r}")):
+                check_sequent(sig, broken)
+    assert renamed
 
 
 def test_export_requires_finite_carriers():
