@@ -4,7 +4,10 @@
 
 Runs from the root of a checkout and imports the package from `src/`.
 Times are raw seconds of one run; name rungs (for example `torus14/Z2`)
-to run only those.
+to run only those.  Each rung's digest is compared with the one recorded
+in `scripts/ladder_digests.json`: a digest that moved, or a rung with
+none recorded, is named on stderr and the script exits 1.  Times are
+printed, not checked.
 
 Spectral rungs build one complex, take its skeletal filtration, and time
 `run_pages` and then `spectral_summary` on the result; pages are built
@@ -154,6 +157,8 @@ CLI_RUNGS = {
 
 SMITH_SIZES = (28, 30, 32, 34, 36, 40)
 
+DIGESTS = Path(__file__).resolve().parent / "ladder_digests.json"
+
 
 def run_rung(name: str, modulus: int, facets: list) -> dict:
     nverts = 1 + max(v for f in facets for v in f)
@@ -197,22 +202,35 @@ def run_smith(name: str, n: int) -> dict:
             "digest": digest.hexdigest()[:16]}
 
 
-def main(argv: list) -> int:
+def all_rungs() -> dict:
+    """{rung name: a function that runs it and returns its line}."""
     rungs = {f"{c}/{m}": lambda c=c, m=m: run_rung(f"{c}/{m}", MODULI[m], COMPLEXES[c]())
              for c in COMPLEXES for m in MODULI}
     rungs.update({name: lambda name=name: run_cli(name, *CLI_RUNGS[name])
                   for name in CLI_RUNGS})
     rungs.update({f"smith/dense{n}": lambda n=n: run_smith(f"smith/dense{n}", n)
                   for n in SMITH_SIZES})
+    return rungs
+
+
+def main(argv: list) -> int:
+    rungs = all_rungs()
     unknown = set(argv) - set(rungs)
     if unknown:
         print(f"unknown rungs: {sorted(unknown)}", file=sys.stderr)
         return 2
+    recorded = json.loads(DIGESTS.read_text())
+    moved = False
     for name, run in rungs.items():
         if argv and name not in argv:
             continue
-        print(json.dumps(run()), flush=True)
-    return 0
+        row = run()
+        print(json.dumps(row), flush=True)
+        if row["digest"] != recorded.get(name):
+            print(f"digest moved: {name} {recorded.get(name)} -> "
+                  f"{row['digest']}", file=sys.stderr)
+            moved = True
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":

@@ -149,7 +149,8 @@ def _cmd_sequent(ws, modulus, window):
     diagram = _build_diagram(ws)
     model = HomologyModel(diagram, modulus, window)
     sig = generate_signature(diagram, model.window)
-    structure = export_finite_structure(model, sig)
+    structure = export_finite_structure(
+        model, sig.read_by(ws.sequents.values()))
     results = []
     ok = True
     for name in sorted(ws.sequents):

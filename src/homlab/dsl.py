@@ -524,7 +524,7 @@ def _parse_atom(p: _Parser, known, bound: set):
         p.expect(".")
         body = _parse_formula(p, known, bound | {var.text})
         return Exists(var.text, sort, body)
-    if tok.text == "(":
+    if tok.text == "(" and not _opens_term(p):
         p.next()
         inner = _parse_formula(p, known, bound)
         p.expect(")")
@@ -533,6 +533,18 @@ def _parse_atom(p: _Parser, known, bound: set):
     p.expect("=")
     rhs = _parse_term(p, known, bound)
     return Eq(lhs, rhs)
+
+
+def _opens_term(p: _Parser) -> bool:
+    """Whether the `(` group at the cursor is followed by `=` or `+`, so
+    it opens the left side of an equation: no formula is followed by
+    either.  A group left open is read as a formula."""
+    depth = 0
+    for i in range(p.pos, len(p.tokens)):
+        depth += {"(": 1, ")": -1}.get(p.tokens[i].text, 0)
+        if depth == 0:
+            return i + 1 < len(p.tokens) and p.tokens[i + 1].text in ("=", "+")
+    return False
 
 
 def _parse_term(p: _Parser, known, bound: set):

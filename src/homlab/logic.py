@@ -112,11 +112,34 @@ class Signature:
         self.funcs = funcs
         self.window = window
 
-    def sort_of(self, key, n) -> str:
-        name = sort_name(key, n)
-        if name not in self.sorts:
-            raise ValueError(f"sort {name} outside the signature")
-        return name
+    def read_by(self, sequents) -> "Signature":
+        """The part of the signature that the sequents read: the sorts of
+        their context and `exists` variables and of their sorted zeros,
+        and every symbol they apply with its source and target sorts.
+        `check_sequent` gives every bare zero, Zero(None), one of these
+        sorts.  Names the signature lacks are skipped, so an ill-typed
+        sequent still fails in `check_sequent`."""
+        sorts, funcs, nodes = set(), set(), []
+        for seq in sequents:
+            sorts.update(s for _, s in seq.context)
+            nodes += [seq.antecedent, seq.consequent]
+        while nodes:
+            node = nodes.pop()
+            if isinstance(node, (Zero, Exists)):
+                sorts.add(node.sort)
+            if isinstance(node, App):
+                funcs.add(node.func)
+            if isinstance(node, (Add, Eq, And)):
+                nodes += [node.left, node.right]
+            elif isinstance(node, (Neg, App)):
+                nodes.append(node.arg)
+            elif isinstance(node, Exists):
+                nodes.append(node.body)
+        read = {f: info for f, info in self.funcs.items() if f in funcs}
+        for info in read.values():
+            sorts.update((info.source, info.target))
+        return Signature({s: k for s, k in self.sorts.items() if s in sorts},
+                         read, self.window)
 
 
 def generate_signature(diagram, window: Tuple[int, int]) -> Signature:
@@ -581,13 +604,18 @@ def symbol_hom(model, info: FuncInfo) -> GroupHom:
 def export_finite_structure(model, sig: Signature) -> FiniteStructure:
     """Tabulate every sort and symbol of the signature over the model.
 
-    Each carrier is in `FiniteStructure` order, coordinates on the
-    invariant factors of the group's `CanonicalForm`.  A symbol's table is
-    a homomorphism, so only the unit generators of its source are mapped
-    through the model (lift, apply, coords); every other image is the sum
-    of their multiples, built in carrier order modulo the target torsion.
-    Needs finite carriers, so the model must use Z/m coefficients or have
-    all groups in the window finite.
+    Only the groups of the signature's sorts are presented and only the
+    maps of its symbols are built, so a caller that checks a few sequents
+    passes `sig.read_by(sequents)`.  Each carrier is in `FiniteStructure`
+    order, coordinates on the invariant factors of the group's
+    `CanonicalForm`, and each carrier and table depends only on its own
+    group and map, not on what else the signature holds.  A symbol's table
+    is a homomorphism, so only the unit generators of its source are
+    mapped through the model (lift, apply, coords); every other image is
+    the sum of their multiples, built in carrier order modulo the target
+    torsion.  Needs finite carriers: every sort of the signature must have
+    a finite group, as at Z/m coefficients; raises ValueError naming the
+    first sort whose carrier is infinite.
     """
     st = FiniteStructure()
     forms: Dict[str, CanonicalForm] = {}

@@ -174,6 +174,91 @@ def test_infinite_carrier_exits_two(tmp_path, capsys):
     assert "infinite carrier" in capsys.readouterr().err
 
 
+def test_ill_typed_sequent_over_z_names_its_fault(tmp_path, capsys):
+    # h1(S1) = Z is in the window but no sequent reads it, so the sort
+    # error comes before any carrier is built
+    text = ("complex S1 = {01, 12, 02}\n"
+            "sequent s = [x:h0(S1)] top |- x = x\n"
+            "sequent\n")
+    rc, report = _run(tmp_path, text, "--window", "1..1")
+    assert rc == 2 and report is None
+    assert capsys.readouterr().err == "error: sequent 's': unknown sort 'h0(S1)'\n"
+
+
+def test_sequent_reading_only_torsion_over_z(tmp_path):
+    # over Z, h0(X) = Z of the projective plane has an infinite carrier,
+    # but the sequents read only h1(X) = Z/2
+    text = ("complex X = {abc, acd, ade, aef, abf, bce, cdf, bde, bdf, cef}\n"
+            "sequent twice = [x:h1(X)] top |- x + x = 0\n"
+            "sequent half = [x:h1(X)] top |- exists y:h1(X). y + y = x\n"
+            "sequent\n")
+    rc, report = _run(tmp_path, text)
+    assert rc == 1 and report["coefficients"] == "Z"
+    assert [(r["sequent"], r["valid"], r["counterexample"])
+            for r in report["results"]] == [
+        ("half", False, [{"var": "x", "sort": "h1(X)", "value": [1]}]),
+        ("twice", True, None)]
+    rc, report = _run(tmp_path, text.replace("sequent half", "# "))
+    assert rc == 0 and report["ok"] is True
+
+
+def test_sequent_builds_only_what_its_sequents_read(tmp_path, monkeypatch):
+    # the window's signature has 6 sorts and 11 symbols; the sequent reads
+    # the sorts h1(X,Y) and h0(Y) and the symbol t@1 between them
+    import homlab.logic as logic
+    import homlab.model as model
+    maps, groups, forms = [], [], []
+    induced_hom, group = model.induced_hom, model.HomologyModel.group
+    canonical_form = logic.CanonicalForm
+
+    def counted_map(*args):
+        maps.append(args[3])    # the leak message names the kind of map
+        return induced_hom(*args)
+
+    def counted_group(self, key, n):
+        groups.append((key, n))
+        return group(self, key, n)
+
+    def counted_form(g):
+        forms.append(g)
+        return canonical_form(g)
+
+    monkeypatch.setattr(model, "induced_hom", counted_map)
+    monkeypatch.setattr(model.HomologyModel, "group", counted_group)
+    monkeypatch.setattr(logic, "CanonicalForm", counted_form)
+    text = ("complex X = {ab}\n"
+            "complex Y = {a, b}\n"
+            "triple t : X / Y\n"
+            "sequent boundary = [y:h1(X,Y)] top |- t@1(y) = 0\n"
+            "sequent\n")
+    rc, report = _run(tmp_path, text, "--coeff", "Zmod2")
+    assert rc == 1 and report["results"][0]["valid"] is False
+    assert maps == ["connecting image is not a cycle"]
+    assert sorted(groups) == [(("X", "Y"), 1), (("Y", "0"), 0)]
+    assert len(forms) == 2
+
+
+# A left side that opens with a parenthesized term, which `dsl` once read
+# as a formula group
+PAREN_LEFT = ("complex X = {ab}\n"
+              "sequent s = [x:h0(X), y:h0(X)] top |- (x + y) = y + x\n"
+              "sequent t = [x:h0(X), y:h0(X)] (x) + y = x |- (-y) + (y) = 0\n"
+              "sequent\n")
+
+
+def test_parenthesized_left_side_pinned(tmp_path):
+    rc, report = _run(tmp_path, PAREN_LEFT, "--coeff", "Zmod3", name="a.hwb")
+    assert rc == 0 and report["ok"] is True
+    assert [r["sequent"] for r in report["results"]] == ["s", "t"]
+    assert hashlib.sha256((tmp_path / "a.hwb.json").read_bytes()) \
+        .hexdigest() == \
+        "3012741c3981e576cb7fbdcb628c6733d82764fd63e738f3e9ac87da2cae5ab6"
+    bare = PAREN_LEFT.replace("(x + y)", "x + y").replace("(x) + y", "x + y") \
+        .replace("(-y) + (y)", "-y + y")
+    rc, plain = _run(tmp_path, bare, "--coeff", "Zmod3", name="b.hwb")
+    assert rc == 0 and plain["results"] == report["results"]
+
+
 # -- validate ------------------------------------------------------------------
 
 

@@ -325,6 +325,40 @@ def test_formula_grouping():
     assert eq.left == Add(Var("x"), Add(Var("x"), Var("x")))
 
 
+def test_group_followed_by_equals_or_plus_is_a_term():
+    x, y = Var("x"), Var("y")
+    ws = parse("complex P = {v}\n"
+               "sequent s = [x:h0(P), y:h0(P)] top |- (x + y) = y + x\n"
+               "sequent t = [x:h0(P), y:h0(P)] "
+               "((x) + y = -(y) & (x = y)) |- ((x + y)) + 0 = x\n"
+               "sequent\n")
+    assert ws.sequents["s"].consequent == Eq(Add(x, y), Add(y, x))
+    t = ws.sequents["t"]
+    assert t.antecedent == And(Eq(Add(x, y), Neg(y)), Eq(x, y))
+    assert t.consequent == Eq(Add(Add(x, y), Zero(None)), x)
+    printed = print_spec(ws).splitlines()
+    assert printed[1] == "sequent s = [x:h0(P), y:h0(P)] top |- x + y = y + x"
+    assert printed[2] == ("sequent t = [x:h0(P), y:h0(P)] x + y = -y & x = y"
+                          " |- x + y + 0 = x")
+
+
+@pytest.mark.parametrize("body, col, message", [
+    # a formula in a group that `=` or `+` follows: the group is read as
+    # a term, and the error is where the term ends
+    ("(x = x) = x", 33, "expected ')' at token '='"),
+    ("(x = x) + x = x", 33, "expected ')' at token '='"),
+    ("(top) = x", 31, "unbound variable at token 'top'"),
+    # a group left open is still read as a formula
+    ("(x + x = x", 40, "expected ')'"),
+])
+def test_term_group_errors_are_located(body, col, message):
+    err = _parse_error("complex P = {v}\n"
+                       f"sequent s = [x:h0(P)] top |- {body}\n"
+                       "sequent\n")
+    assert (err.line, err.col) == (2, col)
+    assert str(err).endswith(message)
+
+
 def test_sort_mentions_unknown_complex():
     err = _parse_error("complex P = {v}\n"
                        "sequent s = [x:h0(Q)] top |- x = x\n"
@@ -417,6 +451,11 @@ CORPUS = [
      "complex X = {abc, cd}\n"
      "filtration F on X = skeletal\n"
      "cellular F\n"),
+    # left sides that open with a parenthesized term
+    ("complex Q = {v}\n"
+     "sequent s = [x:h0(Q), y:h0(Q)] (x + y) + -(y) = x |- "
+     "(x) = (x + 0) & (-(x + y) = -y + -x)\n"
+     "sequent\n"),
 ]
 
 

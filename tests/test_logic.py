@@ -563,6 +563,80 @@ def test_compiled_evaluator_matches_reference(modulus):
     assert invalid > 100
 
 
+# -- exporting what the sequents read ------------------------------------------
+
+
+def test_read_by_keeps_what_the_sequents_read():
+    sig = generate_signature(interval_triple_diagram(), (0, 1))
+    x, y = Var("x"), Var("y")
+    sequents = [
+        Sequent((("x", "h1(X,Y)"),), Top(), Eq(App("t@1", x), Zero(None))),
+        # read, although ill-typed: the names are what counts
+        Sequent((), Top(), Exists("y", "h1(X)", Eq(Neg(y), Zero("h0(X)")))),
+        # names the signature lacks are skipped
+        Sequent((("x", "h9(Q)"),), Top(), Eq(App("nosuch@0", x), x)),
+    ]
+    part = sig.read_by(sequents)
+    assert part.funcs == {"t@1": sig.funcs["t@1"]}
+    read = {"h1(X,Y)", "h0(Y)", "h1(X)", "h0(X)"}
+    assert part.sorts == {s: k for s, k in sig.sorts.items() if s in read}
+    assert part.window == sig.window
+    assert sig.read_by([]).sorts == {} and sig.read_by([]).funcs == {}
+
+
+def _search_size(st, seq) -> int:
+    """The assignments of the context times the witnesses of every
+    `exists`: a bound on the work of the tree-walking reference."""
+    sorts = [s for _, s in seq.context]
+    _rebuild(seq, lambda n: sorts.append(n.sort) if isinstance(n, Exists) else None)
+    size = 1
+    for s in sorts:
+        size *= len(st.carriers[s])
+    return size
+
+
+@pytest.mark.parametrize("modulus", [2, 3, 4, 6, 9])
+def test_export_of_what_sequents_read_matches_full_export(modulus):
+    """The structure exported from `sig.read_by(sequents)` holds exactly
+    the sorts and symbols the sequents read, each carrier and table as in
+    the export of the whole signature, and each sequent evaluates on it
+    as on the whole export and as the tree-walking reference says."""
+    rng = random.Random(2600 + modulus)
+    kinds, checked, invalid, smaller = set(), 0, 0, 0
+    for diagram, window in structure_diagrams():
+        model = HomologyModel(diagram, modulus=modulus, window=window)
+        sig = generate_signature(diagram, window)
+        full = export_finite_structure(model, sig)
+        sequents = []
+        while len(sequents) < 10:
+            seq = random_sequent(rng, full)
+            if _search_size(full, seq) <= 5000:
+                sequents.append(seq)
+                _rebuild(seq, lambda n: kinds.add(type(n)))
+        for batch in (sequents[:1], sequents[1:4], sequents):
+            part = sig.read_by(batch)
+            smaller += len(part.sorts) < len(sig.sorts)
+            st = export_finite_structure(model, part)
+            assert list(st.carriers) == sorted(part.sorts)
+            assert list(st.tables) == sorted(part.funcs)
+            for s in part.sorts:
+                assert st.carriers[s] == full.carriers[s]
+                assert st.negation[s] == full.negation[s]
+            for f in part.funcs:
+                assert list(st.tables[f].items()) == list(full.tables[f].items())
+            for seq in batch:
+                check_sequent(sig, seq)
+                got = eval_sequent(st, seq)
+                want = reference_eval_sequent(full, seq)
+                assert (got.valid, got.counterexample) == \
+                    (want.valid, want.counterexample), seq
+                assert eval_sequent(full, seq) == got
+                checked += 1
+                invalid += not got.valid
+    assert {Exists, App, Neg} <= kinds
+    assert checked == 6 * 14 and invalid > 10 and smaller >= 6
+
+
 # -- the vector path of the last search level ---------------------------------
 
 
