@@ -23,6 +23,7 @@ from .fga import is_isomorphism
 from .logic import (
     FLAVORS,
     eval_sequent,
+    eval_sequents,
     export_finite_structure,
     generate_axioms,
     generate_signature,
@@ -98,16 +99,16 @@ def _cmd_validate(ws, modulus, window, flavors):
     model = HomologyModel(diagram, modulus, window)
     sig = generate_signature(diagram, model.window)
     axioms = generate_axioms(sig, diagram, flavors)
-    semantic = validate_semantic(model, axioms)
-    structure = export_finite_structure(model, sig) if modulus else None
+    semantic = sorted(validate_semantic(model, axioms), key=lambda r: r[0].name)
+    enumerated = modulus and eval_sequents(
+        export_finite_structure(model, sig), [r[0].sequent for r in semantic])
     results = []
     ok = True
-    for axiom, valid, detail in sorted(semantic, key=lambda r: r[0].name):
+    for i, (axiom, valid, detail) in enumerate(semantic):
         row = {"axiom": axiom.name, "valid": valid, "detail": detail}
-        if structure is not None:
-            enumerated = eval_sequent(structure, axiom.sequent)
-            row["enumerated"] = enumerated.valid
-            row["agree"] = enumerated.valid == valid
+        if modulus:
+            row["enumerated"] = enumerated[i].valid
+            row["agree"] = enumerated[i].valid == valid
             ok = ok and row["agree"]
         ok = ok and valid
         results.append(row)

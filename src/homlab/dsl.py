@@ -17,7 +17,7 @@ characters; `0` names the empty complex and cannot be redeclared.
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .logic import (
     Add,
@@ -65,8 +65,7 @@ _TOKEN_RE = re.compile(
 _SORT_RE = re.compile(r"h(\d+)")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int

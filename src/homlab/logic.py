@@ -17,6 +17,7 @@ routes up instance by instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product, repeat
 from operator import eq, itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
@@ -119,27 +120,33 @@ class Signature:
         `check_sequent` gives every bare zero, Zero(None), one of these
         sorts.  Names the signature lacks are skipped, so an ill-typed
         sequent still fails in `check_sequent`."""
-        sorts, funcs, nodes = set(), set(), []
+        sorts, funcs = set(), set()
         for seq in sequents:
-            sorts.update(s for _, s in seq.context)
-            nodes += [seq.antecedent, seq.consequent]
-        while nodes:
-            node = nodes.pop()
-            if isinstance(node, (Zero, Exists)):
-                sorts.add(node.sort)
-            if isinstance(node, App):
-                funcs.add(node.func)
-            if isinstance(node, (Add, Eq, And)):
-                nodes += [node.left, node.right]
-            elif isinstance(node, (Neg, App)):
-                nodes.append(node.arg)
-            elif isinstance(node, Exists):
-                nodes.append(node.body)
+            _shape(seq, sorts.add, funcs.add)
         read = {f: info for f, info in self.funcs.items() if f in funcs}
         for info in read.values():
             sorts.update((info.source, info.target))
         return Signature({s: k for s, k in self.sorts.items() if s in sorts},
                          read, self.window)
+
+
+def _shape(seq: Sequent, sort: Callable, func: Callable) -> tuple:
+    """seq as nested tuples (node type, fields...), with each sort name s
+    replaced by sort(s) and each symbol name f by func(f); variable names
+    and context order are kept."""
+    def walk(node):
+        kind = type(node)
+        if kind is Var:
+            return node.name
+        if kind is Zero:
+            return kind, sort(node.sort)
+        if kind is App:
+            return kind, func(node.func), walk(node.arg)
+        if kind is Exists:
+            return kind, node.var, sort(node.sort), walk(node.body)
+        return (kind, *map(walk, vars(node).values()))  # Add Neg Eq And Top
+    return (tuple((v, sort(s)) for v, s in seq.context),
+            walk(seq.antecedent), walk(seq.consequent))
 
 
 def generate_signature(diagram, window: Tuple[int, int]) -> Signature:
@@ -969,6 +976,38 @@ def eval_sequent(st: FiniteStructure, seq: Sequent) -> EvalResult:
         return EvalResult(True)
     return EvalResult(False, {v: st.carriers[s][env[i]]
                               for i, (v, s) in enumerate(seq.context)})
+
+
+def eval_sequents(st: FiniteStructure, sequents) -> List[EvalResult]:
+    """`[eval_sequent(st, s) for s in sequents]`, calling `eval_sequent`
+    once per distinct shape and sharing its result.  A shape is the
+    sequent with each sort replaced by a key for what `eval_sequent` reads
+    of it: its moduli, which fix its carrier and index, its `negation`,
+    and its sum table if built (else `sum_table` builds it from the
+    moduli).  Each symbol is replaced by its end sorts' keys and its image
+    positions, read from `st.tables` now.  So equal shapes read equal
+    data: their `valid` is equal, and so are their counterexamples, as
+    equal moduli give equal carriers.  Keys are read first, kept nowhere."""
+    ids, results = {}, {}
+
+    @cache
+    def sort(s):
+        sums = tuple(map(tuple, st.sums.get(s, ())))
+        key = st.moduli[s], tuple(st.negation[s]), sums
+        return ids.setdefault(key, len(ids))
+
+    @cache
+    def func(f):
+        src, tgt = st.func_sorts[f]
+        table, index = st.tables[f], st.index[tgt]
+        images = tuple(index[table[e]] for e in st.carriers[src])
+        return ids.setdefault((sort(src), sort(tgt), images), len(ids))
+
+    shapes = [_shape(seq, sort, func) for seq in sequents]
+    for shape, seq in zip(shapes, sequents):
+        if shape not in results:
+            results[shape] = eval_sequent(st, seq)
+    return [results[shape] for shape in shapes]
 
 
 # -- semantic validation (group arithmetic, no enumeration) ------------------

@@ -301,6 +301,33 @@ def test_flavors_expand_the_axiom_set(tmp_path):
     assert any(n.startswith("mv/") for n in cd_names - core_names)
 
 
+def test_validate_enumerates_each_distinct_problem_once(tmp_path, monkeypatch):
+    # the 91 axioms of the 4-cycle are 33 distinct finite problems: the
+    # group laws of its 12 sorts fall on 3 invariant lists, and identity
+    # maps on equal groups have equal tables
+    import homlab.cli as cli
+    import homlab.logic as logic
+    calls = []
+    eval_sequent = logic.eval_sequent
+
+    def counted(st, seq):
+        calls.append(seq)
+        return eval_sequent(st, seq)
+
+    monkeypatch.setattr(logic, "eval_sequent", counted)
+    monkeypatch.setattr(cli, "eval_sequent", counted)
+    text = CYCLE_END_ALGEBRA.replace("end-algebra\n", "validate\n")
+    flags = ("--coeff", "Zmod3", "--flavor", "core,homotopy,cd")
+    rc, report = _run(tmp_path, text, *flags, name="shared.hwb")
+    assert rc == 0 and len(report["results"]) == 91 and len(calls) == 33
+    monkeypatch.setattr(cli, "eval_sequents", lambda st, sequents: [
+        eval_sequent(st, seq) for seq in sequents])
+    rc, _ = _run(tmp_path, text, *flags, name="each.hwb")
+    assert rc == 0 and len(calls) == 33
+    assert (tmp_path / "shared.hwb.json").read_bytes() == \
+        (tmp_path / "each.hwb.json").read_bytes()
+
+
 # -- spectral ------------------------------------------------------------------
 
 

@@ -24,6 +24,7 @@ from homlab.logic import (
     check_sequent,
     composition_triangles,
     eval_sequent,
+    eval_sequents,
     export_finite_structure,
     generate_axioms,
     generate_signature,
@@ -781,3 +782,106 @@ def test_vector_path_matches_reference(modulus):
     # both outcomes occur often, and tampering breaks more sequents
     assert invalid[0] > 100 and len(sequents) - invalid[0] > 50
     assert invalid[1] > invalid[0]
+
+
+# -- one enumeration per distinct finite problem ------------------------------
+
+
+@pytest.mark.parametrize("modulus", [2, 3, 4, 6, 9])
+def test_eval_sequents_equals_one_call_per_sequent(modulus):
+    """eval_sequents answers, in `valid` and counterexample, as one
+    eval_sequent call per sequent does, on untouched and on tampered
+    structures, and as the tree-walking reference where its search is
+    small; sequents of one shape share one result."""
+    rng = random.Random(2700 + modulus)
+    checked = shared = invalid = 0
+    for model, sig, sequents in _differential_inputs(modulus, 2800 + modulus):
+        for tampered in (False, True):
+            st = export_finite_structure(model, sig)
+            if tampered:
+                _tamper(st, rng)
+            got = eval_sequents(st, sequents)
+            assert len(got) == len(sequents)
+            shared += len(sequents) - len({id(r) for r in got})
+            for seq, result in zip(sequents, got):
+                want = eval_sequent(st, seq)
+                assert (result.valid, result.counterexample) == \
+                    (want.valid, want.counterexample), seq
+                if _search_size(st, seq) <= 5000:
+                    want = reference_eval_sequent(st, seq)
+                    assert (result.valid, result.counterexample) == \
+                        (want.valid, want.counterexample), seq
+                    checked += 1
+                invalid += not result.valid
+    assert checked > 600 and invalid > 150 and shared > 300
+
+
+def test_edited_sort_is_not_merged_with_an_equal_one():
+    # h0(U) and h0(V) are both Z/3, so their group axioms share shapes
+    # until one sort's sum table or negation is edited
+    diagram = cycle_diagram()
+    model = HomologyModel(diagram, modulus=3, window=(0, 1))
+    sig = generate_signature(diagram, (0, 1))
+    u, v = "h0(U)", "h0(V)"
+    axioms = [a for a in generate_axioms(sig, diagram, ("core",))
+              if a.tag[:2] in (("group", u), ("group", v))]
+    sequents = [a.sequent for a in axioms]
+    assert len(sequents) == 8 and {a.tag[1] for a in axioms} == {u, v}
+    untouched = eval_sequents(export_finite_structure(model, sig), sequents)
+    assert all(untouched) and len({id(r) for r in untouched}) == 4
+
+    def edit_sums(st):
+        st.sum_table(u)[1][2] = 1       # 1 + 2 = 1, not 0
+
+    def edit_negation(st):
+        st.negation[u][1] = 1           # -1 = 1, not 2
+
+    for edit in (edit_sums, edit_negation):
+        st = export_finite_structure(model, sig)
+        assert st.moduli[u] == st.moduli[v] == (3,)
+        edit(st)
+        got = eval_sequents(st, sequents)
+        assert got == [eval_sequent(st, q) for q in sequents]
+        failing = {a.tag[1] for a, r in zip(axioms, got) if not r.valid}
+        assert failing == {u}, edit
+
+
+def test_shapes_keep_variable_names_context_order_and_images():
+    # the same formula over a permuted or renamed context, and the same
+    # sequent over two endomorphisms of one sort with different tables
+    diagram = cycle_diagram()
+    model = HomologyModel(diagram, modulus=3, window=(0, 1))
+    sig = generate_signature(diagram, (0, 1))
+    st = export_finite_structure(model, sig)
+    s, x, y = "h1(C,A)", Var("x"), Var("y")
+    body = Eq(App("e@1", x), Add(y, x))
+    sequents = [
+        Sequent((("x", s), ("y", s)), Top(), body),
+        Sequent((("y", s), ("x", s)), Top(), body),
+        Sequent((("a", s), ("b", s)), Top(),
+                Eq(App("e@1", Var("a")), Add(Var("b"), Var("a")))),
+        Sequent((("x", s),), Top(), Eq(App("e@1", x), x)),
+        Sequent((("x", s),), Top(), Eq(App("id:C/A@1", x), x)),
+    ]
+    for q in sequents:
+        check_sequent(sig, q)
+    got = eval_sequents(st, sequents)
+    assert got == [eval_sequent(st, q) for q in sequents]
+    assert len({id(r) for r in got}) == 5
+    assert [r.valid for r in got] == [False] * 4 + [True]
+    assert got[0].counterexample != got[1].counterexample
+    assert set(got[2].counterexample) == {"a", "b"}
+
+
+def test_eval_sequents_leaves_no_cache_on_the_structure():
+    diagram = cycle_diagram()
+    model = HomologyModel(diagram, modulus=3, window=(0, 1))
+    sig = generate_signature(diagram, (0, 1))
+    st = export_finite_structure(model, sig)
+    for s in st.moduli:     # eval_sequent keeps the sum tables it builds
+        st.sum_table(s)
+    before = copy.deepcopy(st)
+    sequents = [a.sequent for a in generate_axioms(sig, diagram, FLAVORS)]
+    assert eval_sequents(st, sequents) == \
+        [eval_sequent(before, q) for q in sequents]
+    assert vars(st) == vars(before)
