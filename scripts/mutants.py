@@ -1,6 +1,6 @@
 """A catalogue of seeded mutants, each with the tests that must kill it.
 
-    python3 scripts/mutants.py [NAME ...]
+    python3 scripts/mutants.py
 
 Runs from the root of a checkout.  It copies `src/` and `tests/` to a
 temporary directory once, then applies one mutant at a time to the copy:
@@ -9,9 +9,9 @@ file, and then its tests run under pytest in a subprocess.  A mutant is
 killed when a named test fails, and survives when they all pass; any
 other pytest outcome (a collection error, no test run) is an error.
 Before the first mutant, every named test must pass on the unmutated
-copy.  The checkout itself is never written.  Name mutants to run only
-those.  Prints one line per mutant and exits 0 when every mutant run
-was killed, 1 when one survived, 2 on an error.
+copy.  The checkout itself is never written.  Prints one line per
+mutant and exits 0 when every mutant was killed, 1 when one survived,
+2 on an error.
 """
 
 import os
@@ -36,7 +36,7 @@ MUTANTS = (
      "ids.setdefault((sort(src), sort(tgt)), len(ids))",
      ["tests/test_logic.py::"
       "test_shapes_keep_variable_names_context_order_and_images",
-      "tests/test_logic.py::test_eval_sequents_equals_one_call_per_sequent"]),
+      "tests/test_logic.py::test_compiled_evaluator_matches_reference"]),
     ("context variables keyed without their names", LOGIC,
      "return (tuple((v, sort(s)) for v, s in seq.context),",
      "return (tuple(sort(s) for v, s in seq.context),",
@@ -61,24 +61,18 @@ def pytest_status(copy: Path, tests: list) -> int:
     return run.returncode
 
 
-def main(argv: list) -> int:
-    names = [m[0] for m in MUTANTS]
-    unknown = set(argv) - set(names)
-    if unknown:
-        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
-        return 2
-    chosen = [m for m in MUTANTS if not argv or m[0] in argv]
+def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, copy / part,
                             ignore=shutil.ignore_patterns("__pycache__"))
-        tests = sorted({t for m in chosen for t in m[4]})
+        tests = sorted({t for m in MUTANTS for t in m[4]})
         if pytest_status(copy, tests) != 0:
             print("the named tests do not pass unmutated", file=sys.stderr)
             return 2
         survived = False
-        for name, path, text, replacement, kills in chosen:
+        for name, path, text, replacement, kills in MUTANTS:
             source = (copy / path).read_text()
             if source.count(text) != 1:
                 print(f"{name}: text not found once in {path}", file=sys.stderr)
@@ -95,4 +89,4 @@ def main(argv: list) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -23,7 +23,3 @@ def test_every_mutant_text_occurs_once_and_names_existing_tests():
         for test_id in kills:
             file, func = test_id.split("::")
             assert f"\ndef {func}(" in (ROOT / file).read_text(), test_id
-
-
-def test_unknown_mutant_exits_two():
-    assert _mutants().main(["no such mutant"]) == 2
