@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, seed, settings, strategies
 
+from homlab.fga import GroupHom
 from homlab.logic import (
     Add,
     And,
@@ -362,6 +363,81 @@ def test_square_axioms_both_routes():
     st = export_finite_structure(model, sig)
     for a in axioms:
         assert eval_sequent(st, a.sequent).valid, a.name
+
+
+# -- what the semantic route says of a tampered model ------------------------
+
+# maps doubled (induced) or zeroed (connecting), as "symbol@degree"
+DOUBLED = ("id:C/A@1", "A/P.i0@0", "m.d@1", "k.box@1", "q.ia@0")
+ZEROED = ("t@1", "q@1")
+_MISMATCHES = {
+    "ident/C/A/1": "identity edge acts nontrivially",
+    "comp/A/P.i0;A/P.pr;id:A/P/0": "composite disagrees with its factors",
+    "comp/A/P.i0;A/P.pr;k.dia/0": "composite disagrees with its factors",
+    "comp/e;e;id:C/A/1": "composite disagrees with its factors",
+    "comp/k.box;k.box;id:C/A/1": "composite disagrees with its factors",
+    "nat/k/1": "connecting square does not commute",
+    "interval/A/P/0": "the two end maps differ",
+    "mvnat/m/1": "square of connecting maps does not commute",
+}
+SEMANTIC_FAILURES = {
+    (0, DOUBLED): {
+        **_MISMATCHES,
+        # at Z/3, doubling m.d twice is the identity again
+        "comp/m.d;m.d;id:q.d/0/1": "composite disagrees with its factors",
+        "mv/q/0/comp_pieces": "witness (1, 0, 0, 0)",
+        "mv/q/0/onto_pieces": "witness (1, 0, 0, 0, 0, -1)",
+    },
+    (3, DOUBLED): {
+        **_MISMATCHES,
+        "mv/q/0/comp_pieces": "witness (1, 0, 0, 0)",
+        "mv/q/0/onto_pieces": "witness (1, 0, 0, 0, 0, 2)",
+    },
+    (0, ZEROED): {
+        "exact/t/1/onto_bp": "witness (1, 0)",
+        "exact/t/1/onto_bd": "witness (1,)",
+        "mv/q/1/onto_union": "witness (1,)",
+        "mv/q/1/onto_inter": "witness (1, -1)",
+    },
+    (3, ZEROED): {
+        "exact/t/1/onto_bp": "witness (1, 0, 0, 0)",
+        "exact/t/1/onto_bd": "witness (1,)",
+        "mv/q/1/onto_union": "witness (1, 0, 0, 0)",
+        "mv/q/1/onto_inter": "witness (1, 2)",
+    },
+}
+
+
+def _scaled(fetch, names, k):
+    """fetch with the maps named in names multiplied by k."""
+    def get(name, n):
+        hom = fetch(name, n)
+        if f"{name}@{n}" not in names:
+            return hom
+        return GroupHom(hom.source, hom.target, hom.matrix.scaled(k))
+    return get
+
+
+@pytest.mark.parametrize("modulus, tampered", sorted(SEMANTIC_FAILURES))
+def test_semantic_failure_details(modulus, tampered, monkeypatch):
+    """Every family but the group laws and additivity names its failure:
+    the chain equations by their mismatch text, the exact segments by a
+    witness."""
+    diagram = cycle_diagram()
+    model = HomologyModel(diagram, modulus, window=(0, 1))
+    monkeypatch.setattr(model, "induced", _scaled(model.induced, tampered, 2))
+    for method in ("connecting", "mv_connecting"):
+        monkeypatch.setattr(model, method,
+                            _scaled(getattr(model, method), tampered, 0))
+    sig = generate_signature(diagram, (0, 1))
+    axioms = generate_axioms(sig, diagram, FLAVORS)
+    report = validate_semantic(model, axioms)
+    assert {a.name: detail for a, ok, detail in report if not ok} == \
+        SEMANTIC_FAILURES[modulus, tampered]
+    assert all(detail == "holds by construction of the presented groups"
+               for a, ok, detail in report if a.tag[0] in ("group", "additivity"))
+    assert all(detail == "" for a, ok, detail in report
+               if ok and a.tag[0] not in ("group", "additivity"))
 
 
 def test_check_sequent_errors():
