@@ -23,6 +23,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+FGA = "src/homlab/fga.py"
 LOGIC = "src/homlab/logic.py"
 
 # (name, file, exact text, replacement, test ids that must fail)
@@ -47,6 +48,29 @@ MUTANTS = (
      "indexes, bits = globals().setdefault('_shared', {}).setdefault("
      "id(table), [None] * len(table)), self.bits",
      ["tests/test_logic.py::test_table_edits_between_calls_are_seen"]),
+    ("sign of ic in alpha flipped", LOGIC,
+     'return [[(1, f"{q.ia}@{k}")], [(-1, f"{q.ic}@{k}")]]',
+     'return [[(1, f"{q.ia}@{k}")], [(1, f"{q.ic}@{k}")]]',
+     ["tests/test_logic.py::test_semantic_failure_details",
+      "tests/test_logic.py::"
+      "test_segment_sequents_hold_where_the_hand_written_ones_do",
+      "tests/test_cli.py::test_flavors_expand_the_axiom_set"]),
+    ("segment check one step off", LOGIC,
+     "check, i = _PART_CHECKS[family, which]",
+     "check, i = _PART_CHECKS[family, which][0], "
+     "_PART_CHECKS[family, which][1] - 1",
+     ["tests/test_logic.py::test_semantic_validation_passes",
+      "tests/test_logic.py::test_square_axioms_both_routes",
+      "tests/test_logic.py::test_semantic_failure_details"]),
+    ("symbol chain composed outermost first", LOGIC,
+     "return reduce(GroupHom.__matmul__, homs)",
+     "return reduce(GroupHom.__matmul__, reversed(homs))",
+     ["tests/test_logic.py::test_composition_detected_on_prisms",
+      "tests/test_logic.py::test_semantic_failure_details"]),
+    ("Hermite step without its U update", FGA,
+     "\n                _axpy(u, PU, e // p)", "",
+     ["tests/test_fga.py::test_smith_output_pinned",
+      "tests/test_fga.py::test_smith_matches_dense_reference"]),
 )
 
 

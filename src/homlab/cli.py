@@ -99,7 +99,7 @@ def _cmd_validate(ws, modulus, window, flavors):
     model = HomologyModel(diagram, modulus, window)
     sig = generate_signature(diagram, model.window)
     axioms = generate_axioms(sig, diagram, flavors)
-    semantic = sorted(validate_semantic(model, axioms), key=lambda r: r[0].name)
+    semantic = sorted(validate_semantic(model, sig, axioms), key=lambda r: r[0].name)
     enumerated = modulus and eval_sequents(
         export_finite_structure(model, sig), [r[0].sequent for r in semantic])
     results = []

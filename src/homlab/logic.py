@@ -10,14 +10,17 @@ distinguished square, each as a tagged sequent instance.
 
 Sequents can be checked two ways: semantically against the model's
 presented groups (kernel/image lattice arithmetic) or by brute-force
-enumeration over an exported finite structure.  The tags line the two
-routes up instance by instance.
+enumeration over an exported finite structure.  Each family is written
+once for both: the semantic route composes the two chains of symbols a
+chain equation's sequent applies, and a long exact segment is four maps
+given as matrices of signed symbols, which write the sequents of its
+parts and, built into maps, their lattice checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from itertools import product, repeat
 from operator import eq, itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
@@ -224,20 +227,6 @@ def _additivity_axioms(sig: Signature) -> List[AxiomInstance]:
     return out
 
 
-def _identity_axioms(sig: Signature, diagram) -> List[AxiomInstance]:
-    out = []
-    lo, hi = sig.window
-    for key in diagram.node_keys():
-        name = diagram.identity_name(key)
-        for n in range(lo, hi + 1):
-            s = sort_name(key, n)
-            seq = Sequent((("x", s),), Top(),
-                          Eq(App(f"{name}@{n}", Var("x")), Var("x")))
-            out.append(AxiomInstance(f"ident/{key[0]}/{key[1]}/{n}",
-                                     ("identity", name, n), seq))
-    return out
-
-
 def composition_triangles(diagram) -> List[Tuple[str, str, str]]:
     """Edge triangles h = g after f, detected from the vertex maps.
 
@@ -264,157 +253,149 @@ def composition_triangles(diagram) -> List[Tuple[str, str, str]]:
     return triangles
 
 
-def _composition_axioms(sig: Signature, diagram) -> List[AxiomInstance]:
-    out = []
+def _chain_axioms(sig: Signature, diagram, family: str) -> List[AxiomInstance]:
+    """The instances of a chain-equation family, each forall x. lhs(x) =
+    rhs(x), where a side applies its chain of symbols to x, first to last;
+    `_check_axiom` reads the two chains back off the sequent."""
     lo, hi = sig.window
-    for fn, gn, hn in composition_triangles(diagram):
+    out = []
+
+    def emit(name, tag, sort, *chains):
+        lhs, rhs = (reduce(lambda t, f: App(f, t), c, Var("x")) for c in chains)
+        out.append(AxiomInstance(name, (family, *tag),
+                                 Sequent((("x", sort),), Top(), Eq(lhs, rhs))))
+
+    if family == "identity":
+        for key in diagram.node_keys():
+            name = diagram.identity_name(key)
+            for n in range(lo, hi + 1):
+                emit(f"ident/{key[0]}/{key[1]}/{n}", (name, n),
+                     sort_name(key, n), [f"{name}@{n}"], [])
+    elif family == "composition":
+        for fn, gn, hn in composition_triangles(diagram):
+            for n in range(lo, hi + 1):
+                emit(f"comp/{fn};{gn};{hn}/{n}", (fn, gn, hn, n),
+                     sort_name(diagram.edges[fn].src, n),
+                     [f"{hn}@{n}"], [f"{fn}@{n}", f"{gn}@{n}"])
+    elif family == "naturality":
+        for cname in sorted(diagram.cubes):
+            cube = diagram.cubes[cname]
+            for n in range(lo + 1, hi + 1):
+                emit(f"nat/{cname}/{n}", (cname, n),
+                     sort_name(diagram.triples[cube.src].nxy, n),
+                     [f"{cube.box}@{n}", f"{cube.tgt}@{n}"],
+                     [f"{cube.src}@{n}", f"{cube.dia}@{n-1}"])
+    elif family == "interval":
+        for key in sorted(diagram.prisms):
+            pe = diagram.prisms[key]
+            for n in range(lo, hi + 1):
+                emit(f"interval/{key[0]}/{key[1]}/{n}", (*key, n),
+                     sort_name(key, n), [f"{pe.i0}@{n}"], [f"{pe.i1}@{n}"])
+    elif family == "mv_naturality":
+        for mname in sorted(diagram.square_maps):
+            sm = diagram.square_maps[mname]
+            for n in range(lo + 1, hi + 1):
+                emit(f"mvnat/{mname}/{n}", (mname, n),
+                     sort_name((diagram.squares[sm.src].d, "0"), n),
+                     [f"{sm.ed}@{n}", f"{sm.tgt}@{n}"],
+                     [f"{sm.src}@{n}", f"{sm.eb}@{n-1}"])
+    return out
+
+
+# The parts of a long exact segment (m0, m1, m2, m3), by family: the pair
+# (m_i, m_{i+1}) gives part comp, m_{i+1} m_i = 0, and part onto, ker
+# m_{i+1} inside im m_i, named at index i.
+_SEGMENT_PARTS = {
+    "exactness": (("comp_bt_bp", "onto_bt"), ("comp_bp_bd", "onto_bp"),
+                  ("comp_bd_bt", "onto_bd")),
+    "mv": (("comp_pieces", "onto_pieces"), ("comp_union", "onto_union"),
+           ("comp_inter", "onto_inter")),
+}
+
+
+def _segment(diagram, family: str, name: str, n: int) -> tuple:
+    """The four maps of the long exact segment of a triple or square at
+    degree n, each a matrix of signed symbols (sign, symbol) with a row
+    per summand of its target and an entry per summand of its source.
+
+    A triple's segment is (bt_n, bp_n, d_n, bt_{n-1}).  A square's is
+    (alpha_n, beta_n, mv_n, alpha_{n-1}): its pieces map in by alpha =
+    (ia, -ic) and out by the sum beta = ja + jc."""
+    def one(f, k):
+        return [[(1, f"{f}@{k}")]]
+
+    if family == "exactness":
+        t = diagram.triples[name]
+        return one(t.bt, n), one(t.bp, n), one(name, n), one(t.bt, n - 1)
+    q = diagram.squares[name]
+
+    def alpha(k):
+        return [[(1, f"{q.ia}@{k}")], [(-1, f"{q.ic}@{k}")]]
+    return (alpha(n), [[(1, f"{q.ja}@{n}"), (1, f"{q.jc}@{n}")]],
+            one(name, n), alpha(n - 1))
+
+
+def _signed(term) -> object:
+    sign, t = term
+    return t if sign > 0 else Neg(t)
+
+
+def _apply(matrix, args) -> list:
+    """The rows of a matrix of signed symbols applied to signed terms
+    (sign, term), as signed terms.  A row of one entry keeps its sign
+    apart, so the next symbol takes the unsigned term: -jc(ic(x)), not
+    jc(-ic(x)).  A longer row is the sum of its entries."""
+    rows = []
+    for row in matrix:
+        terms = [(s * sign, App(f, t)) for (s, f), (sign, t) in zip(row, args)]
+        rows.append(terms[0] if len(terms) == 1
+                    else (1, reduce(Add, map(_signed, terms))))
+    return rows
+
+
+def _ends(sig: Signature, matrix) -> tuple:
+    """The sorts of a matrix's source summands and of its target summands."""
+    return ([sig.funcs[f].source for _, f in matrix[0]],
+            [sig.funcs[row[0][1]].target for row in matrix])
+
+
+def _segment_axioms(sig: Signature, diagram, family: str) -> List[AxiomInstance]:
+    """The two parts of each adjacent pair of maps f, g of every segment of
+    the family: comp, forall x. g(f(x)) = 0, and onto, forall y. g(y) = 0
+    |- exists x. f(x) = y, where x and y run over the summands of the
+    source and of the middle, one equation per row."""
+    lo, hi = sig.window
+    prefix, names = (("exact", diagram.triples) if family == "exactness"
+                     else ("mv", diagram.squares))
+
+    def context(letter, sorts):     # a variable per summand
+        if len(sorts) == 1:
+            return ((letter, sorts[0]),)
+        return tuple((f"{letter}{i}", s) for i, s in enumerate(sorts, 1))
+
+    def vanish(rows, sorts):    # a sign does not change whether a term is zero
+        return reduce(And, [Eq(t, Zero(s)) for (_, t), s in zip(rows, sorts)])
+
+    out = []
+    for name in sorted(names):
         for n in range(lo, hi + 1):
-            s = sort_name(diagram.edges[fn].src, n)
-            seq = Sequent((("x", s),), Top(),
-                          Eq(App(f"{hn}@{n}", Var("x")),
-                             App(f"{gn}@{n}", App(f"{fn}@{n}", Var("x")))))
-            out.append(AxiomInstance(f"comp/{fn};{gn};{hn}/{n}",
-                                     ("composition", fn, gn, hn, n), seq))
-    return out
-
-
-def _naturality_axioms(sig: Signature, diagram) -> List[AxiomInstance]:
-    out = []
-    lo, hi = sig.window
-    for cname in sorted(diagram.cubes):
-        cube = diagram.cubes[cname]
-        for n in range(lo + 1, hi + 1):
-            s = sort_name(diagram.triples[cube.src].nxy, n)
-            lhs = App(f"{cube.tgt}@{n}", App(f"{cube.box}@{n}", Var("x")))
-            rhs = App(f"{cube.dia}@{n-1}", App(f"{cube.src}@{n}", Var("x")))
-            seq = Sequent((("x", s),), Top(), Eq(lhs, rhs))
-            out.append(AxiomInstance(f"nat/{cname}/{n}",
-                                     ("naturality", cname, n), seq))
-    return out
-
-
-def _exactness_axioms(sig: Signature, diagram) -> List[AxiomInstance]:
-    out = []
-    lo, hi = sig.window
-    for tname in sorted(diagram.triples):
-        t = diagram.triples[tname]
-        for n in range(lo, hi + 1):
-            syz = sort_name(t.nyz, n)
-            sxz = sort_name(t.nxz, n)
-            sxy = sort_name(t.nxy, n)
-            bt, bp = f"{t.bt}@{n}", f"{t.bp}@{n}"
-
-            def emit(which, ctx, ante, cons):
-                out.append(AxiomInstance(
-                    f"exact/{tname}/{n}/{which}",
-                    ("exactness", tname, n, which),
-                    Sequent(ctx, ante, cons)))
-
-            emit("comp_bt_bp", (("x", syz),), Top(),
-                 Eq(App(bp, App(bt, Var("x"))), Zero(sxy)))
-            emit("onto_bt", (("y", sxz),),
-                 Eq(App(bp, Var("y")), Zero(sxy)),
-                 Exists("x", syz, Eq(App(bt, Var("x")), Var("y"))))
-            if n - 1 < lo:
-                continue
-            con = f"{tname}@{n}"
-            syz1 = sort_name(t.nyz, n - 1)
-            sxz1 = sort_name(t.nxz, n - 1)
-            bt1 = f"{t.bt}@{n-1}"
-            emit("comp_bp_bd", (("x", sxz),), Top(),
-                 Eq(App(con, App(bp, Var("x"))), Zero(syz1)))
-            emit("comp_bd_bt", (("x", sxy),), Top(),
-                 Eq(App(bt1, App(con, Var("x"))), Zero(sxz1)))
-            emit("onto_bp", (("y", sxy),),
-                 Eq(App(con, Var("y")), Zero(syz1)),
-                 Exists("x", sxz, Eq(App(bp, Var("x")), Var("y"))))
-            emit("onto_bd", (("y", syz1),),
-                 Eq(App(bt1, Var("y")), Zero(sxz1)),
-                 Exists("x", sxy, Eq(App(con, Var("x")), Var("y"))))
-    return out
-
-
-def _interval_axioms(sig: Signature, diagram) -> List[AxiomInstance]:
-    out = []
-    lo, hi = sig.window
-    for key in sorted(diagram.prisms):
-        pe = diagram.prisms[key]
-        for n in range(lo, hi + 1):
-            s = sort_name(key, n)
-            seq = Sequent((("x", s),), Top(),
-                          Eq(App(f"{pe.i0}@{n}", Var("x")),
-                             App(f"{pe.i1}@{n}", Var("x"))))
-            out.append(AxiomInstance(f"interval/{key[0]}/{key[1]}/{n}",
-                                     ("interval", key[0], key[1], n), seq))
-    return out
-
-
-def _mv_axioms(sig: Signature, diagram) -> List[AxiomInstance]:
-    out = []
-    lo, hi = sig.window
-    for qname in sorted(diagram.squares):
-        q = diagram.squares[qname]
-        for n in range(lo, hi + 1):
-            sb = sort_name((q.b, "0"), n)
-            su = sort_name((q.u, "0"), n)
-            sv = sort_name((q.v, "0"), n)
-            sd = sort_name((q.d, "0"), n)
-            ia, ic = f"{q.ia}@{n}", f"{q.ic}@{n}"
-            ja, jc = f"{q.ja}@{n}", f"{q.jc}@{n}"
-
-            def emit(which, ctx, ante, cons):
-                out.append(AxiomInstance(
-                    f"mv/{qname}/{n}/{which}",
-                    ("mv", qname, n, which),
-                    Sequent(ctx, ante, cons)))
-
-            # pieces map in by (restrict, minus restrict), out by the sum
-            emit("comp_pieces", (("b", sb),), Top(),
-                 Eq(Add(App(ja, App(ia, Var("b"))),
-                        Neg(App(jc, App(ic, Var("b"))))), Zero(sd)))
-            emit("onto_pieces", (("u", su), ("v", sv)),
-                 Eq(Add(App(ja, Var("u")), App(jc, Var("v"))), Zero(sd)),
-                 Exists("b", sb, And(Eq(App(ia, Var("b")), Var("u")),
-                                     Eq(Add(App(ic, Var("b")), Var("v")),
-                                        Zero(sv)))))
-            if n - 1 < lo:
-                continue
-            mv = f"{qname}@{n}"
-            sb1 = sort_name((q.b, "0"), n - 1)
-            su1 = sort_name((q.u, "0"), n - 1)
-            sv1 = sort_name((q.v, "0"), n - 1)
-            ia1, ic1 = f"{q.ia}@{n-1}", f"{q.ic}@{n-1}"
-            emit("comp_union", (("u", su), ("v", sv)), Top(),
-                 Eq(App(mv, Add(App(ja, Var("u")), App(jc, Var("v")))),
-                    Zero(sb1)))
-            emit("comp_inter", (("z", sd),), Top(),
-                 And(Eq(App(ia1, App(mv, Var("z"))), Zero(su1)),
-                     Eq(App(ic1, App(mv, Var("z"))), Zero(sv1))))
-            emit("onto_union", (("z", sd),),
-                 Eq(App(mv, Var("z")), Zero(sb1)),
-                 Exists("u", su, Exists("v", sv,
-                        Eq(Add(App(ja, Var("u")), App(jc, Var("v"))),
-                           Var("z")))))
-            emit("onto_inter", (("b", sb1),),
-                 And(Eq(App(ia1, Var("b")), Zero(su1)),
-                     Eq(App(ic1, Var("b")), Zero(sv1))),
-                 Exists("z", sd, Eq(App(mv, Var("z")), Var("b"))))
-    return out
-
-
-def _mv_naturality_axioms(sig: Signature, diagram) -> List[AxiomInstance]:
-    out = []
-    lo, hi = sig.window
-    for mname in sorted(diagram.square_maps):
-        sm = diagram.square_maps[mname]
-        for n in range(lo + 1, hi + 1):
-            src_q = diagram.squares[sm.src]
-            s = sort_name((src_q.d, "0"), n)
-            lhs = App(f"{sm.tgt}@{n}", App(f"{sm.ed}@{n}", Var("z")))
-            rhs = App(f"{sm.eb}@{n-1}", App(f"{sm.src}@{n}", Var("z")))
-            seq = Sequent((("z", s),), Top(), Eq(lhs, rhs))
-            out.append(AxiomInstance(f"mvnat/{mname}/{n}",
-                                     ("mv_naturality", mname, n), seq))
+            maps = _segment(diagram, family, name, n)
+            # the pairs after the first reach degree n - 1
+            for i, parts in enumerate(_SEGMENT_PARTS[family][:1 if n == lo else 3]):
+                f, g = maps[i], maps[i + 1]
+                (sources, middles), zeros = _ends(sig, f), _ends(sig, g)[1]
+                xs, ys = context("x", sources), context("y", middles)
+                image = _apply(f, [(1, Var(x)) for x, _ in xs])
+                hit = reduce(And, [Eq(_signed(r), Var(y))
+                                   for r, (y, _) in zip(image, ys)])
+                for x, sort in reversed(xs):
+                    hit = Exists(x, sort, hit)
+                ante = vanish(_apply(g, [(1, Var(y)) for y, _ in ys]), zeros)
+                sequents = (Sequent(xs, Top(), vanish(_apply(g, image), zeros)),
+                            Sequent(ys, ante, hit))
+                out += [AxiomInstance(f"{prefix}/{name}/{n}/{part}",
+                                      (family, name, n, part), seq)
+                        for part, seq in zip(parts, sequents)]
     return out
 
 
@@ -429,16 +410,16 @@ def generate_axioms(sig: Signature, diagram,
     out: List[AxiomInstance] = []
     if "core" in flavors:
         out += _group_axioms(sig)
-        out += _identity_axioms(sig, diagram)
+        out += _chain_axioms(sig, diagram, "identity")
         out += _additivity_axioms(sig)
-        out += _composition_axioms(sig, diagram)
-        out += _naturality_axioms(sig, diagram)
-        out += _exactness_axioms(sig, diagram)
+        out += _chain_axioms(sig, diagram, "composition")
+        out += _chain_axioms(sig, diagram, "naturality")
+        out += _segment_axioms(sig, diagram, "exactness")
     if "homotopy" in flavors:
-        out += _interval_axioms(sig, diagram)
+        out += _chain_axioms(sig, diagram, "interval")
     if "cd" in flavors:
-        out += _mv_axioms(sig, diagram)
-        out += _mv_naturality_axioms(sig, diagram)
+        out += _segment_axioms(sig, diagram, "mv")
+        out += _chain_axioms(sig, diagram, "mv_naturality")
     return out
 
 
@@ -1013,103 +994,75 @@ def eval_sequents(st: FiniteStructure, sequents) -> List[EvalResult]:
 # -- semantic validation (group arithmetic, no enumeration) ------------------
 
 
-def _mv_alpha(model, q, n) -> GroupHom:
-    ia = model.induced(q.ia, n)
-    ic = model.induced(q.ic, n)
-    neg_ic = GroupHom(ic.source, ic.target, ic.matrix.scaled(-1))
-    return hom_stack([ia, neg_ic])
-
-
-def _mv_beta(model, q, n) -> GroupHom:
-    return hom_concat([model.induced(q.ja, n), model.induced(q.jc, n)])
-
-
-# Each part of a long-exact segment (m0, m1, m2, m3) checks one pair of
-# adjacent maps (m_i, m_{i+1}): a triple's segment is (bt_n, bp_n, d_n,
-# bt_{n-1}), a square's is (alpha_n, beta_n, mv_n, alpha_{n-1}).
-_SEGMENT_PARTS = {
-    "exactness": {
-        "comp_bt_bp": (composite_is_zero, 0), "onto_bt": (kernel_in_image, 0),
-        "comp_bp_bd": (composite_is_zero, 1), "onto_bp": (kernel_in_image, 1),
-        "comp_bd_bt": (composite_is_zero, 2), "onto_bd": (kernel_in_image, 2),
-    },
-    "mv": {
-        "comp_pieces": (composite_is_zero, 0),
-        "onto_pieces": (kernel_in_image, 0),
-        "comp_union": (composite_is_zero, 1),
-        "onto_union": (kernel_in_image, 1),
-        "comp_inter": (composite_is_zero, 2),
-        "onto_inter": (kernel_in_image, 2),
-    },
+# the mismatch text of each chain-equation family
+_MISMATCH = {
+    "identity": "identity edge acts nontrivially",
+    "composition": "composite disagrees with its factors",
+    "naturality": "connecting square does not commute",
+    "interval": "the two end maps differ",
+    "mv_naturality": "square of connecting maps does not commute",
 }
 
-
-def _segment(model, family, name, n) -> tuple:
-    """The four maps of the segment, each fetched only when called."""
-    if family == "exactness":
-        t = model.diagram.triples[name]
-        return (lambda: model.induced(t.bt, n),
-                lambda: model.induced(t.bp, n),
-                lambda: model.connecting(name, n),
-                lambda: model.induced(t.bt, n - 1))
-    q = model.diagram.squares[name]
-    return (lambda: _mv_alpha(model, q, n),
-            lambda: _mv_beta(model, q, n),
-            lambda: model.mv_connecting(name, n),
-            lambda: _mv_alpha(model, q, n - 1))
+# (check, i) of each segment part, a check of the pair (m_i, m_{i+1})
+_PART_CHECKS = {(family, part): (check, i)
+                for family, pairs in _SEGMENT_PARTS.items()
+                for i, pair in enumerate(pairs)
+                for check, part in zip((composite_is_zero, kernel_in_image), pair)}
 
 
-def _check_axiom(model, axiom: AxiomInstance):
-    diagram = model.diagram
-    tag = axiom.tag
-    family = tag[0]
+def _chain_hom(model, sig: Signature, term, sort: str) -> GroupHom:
+    """The composite of the symbols a chain term applies, or the identity
+    of the sort's group when it applies none."""
+    homs = []
+    while isinstance(term, App):
+        homs.append(symbol_hom(model, sig.funcs[term.func]))
+        term = term.arg
+    if not homs:
+        return GroupHom.identity(model.group(*sig.sorts[sort]))
+    return reduce(GroupHom.__matmul__, homs)    # outermost symbol leftmost
+
+
+def _matrix_hom(model, sig: Signature, matrix) -> GroupHom:
+    """The map a matrix of signed symbols names: each row's entries side
+    by side (`hom_concat`), its rows stacked (`hom_stack`); a lone entry
+    or row is the map itself."""
+    rows = []
+    for row in matrix:
+        homs = []
+        for sign, f in row:
+            hom = symbol_hom(model, sig.funcs[f])
+            homs.append(hom if sign > 0 else
+                        GroupHom(hom.source, hom.target, hom.matrix.scaled(-1)))
+        rows.append(homs[0] if len(homs) == 1 else hom_concat(homs))
+    return rows[0] if len(rows) == 1 else hom_stack(rows)
+
+
+def _check_axiom(model, sig: Signature, axiom: AxiomInstance):
+    family = axiom.tag[0]
     if family in ("group", "additivity"):
         return True, "holds by construction of the presented groups"
-    if family == "identity":
-        _, edge, n = tag
-        hom = model.induced(edge, n)
-        ok = hom.equal_to(GroupHom.identity(hom.source))
-        return ok, "" if ok else "identity edge acts nontrivially"
-    if family == "composition":
-        _, fn, gn, hn, n = tag
-        lhs = model.induced(hn, n)
-        rhs = model.induced(gn, n) @ model.induced(fn, n)
+    if family in _MISMATCH:
+        seq = axiom.sequent
+        (_, sort), = seq.context
+        lhs, rhs = (_chain_hom(model, sig, side, sort)
+                    for side in (seq.consequent.left, seq.consequent.right))
         ok = lhs.equal_to(rhs)
-        return ok, "" if ok else "composite disagrees with its factors"
-    if family == "naturality":
-        _, cname, n = tag
-        cube = diagram.cubes[cname]
-        lhs = model.connecting(cube.tgt, n) @ model.induced(cube.box, n)
-        rhs = model.induced(cube.dia, n - 1) @ model.connecting(cube.src, n)
-        ok = lhs.equal_to(rhs)
-        return ok, "" if ok else "connecting square does not commute"
-    if family == "interval":
-        _, total, sub, n = tag
-        pe = diagram.prisms[(total, sub)]
-        ok = model.induced(pe.i0, n).equal_to(model.induced(pe.i1, n))
-        return ok, "" if ok else "the two end maps differ"
+        return ok, "" if ok else _MISMATCH[family]
     if family in _SEGMENT_PARTS:
-        _, name, n, which = tag
-        if which not in _SEGMENT_PARTS[family]:
+        _, name, n, which = axiom.tag
+        if (family, which) not in _PART_CHECKS:
             raise ValueError(f"unknown {family} part {which!r}")
-        check, i = _SEGMENT_PARTS[family][which]
-        maps = _segment(model, family, name, n)
-        w = check(maps[i](), maps[i + 1]())
+        check, i = _PART_CHECKS[family, which]
+        maps = _segment(model.diagram, family, name, n)
+        w = check(_matrix_hom(model, sig, maps[i]),
+                  _matrix_hom(model, sig, maps[i + 1]))
         return w is None, "" if w is None else f"witness {w}"
-    if family == "mv_naturality":
-        _, mname, n = tag
-        sm = diagram.square_maps[mname]
-        lhs = model.mv_connecting(sm.tgt, n) @ model.induced(sm.ed, n)
-        rhs = model.induced(sm.eb, n - 1) @ model.mv_connecting(sm.src, n)
-        ok = lhs.equal_to(rhs)
-        return ok, "" if ok else "square of connecting maps does not commute"
     raise ValueError(f"unknown axiom family {family!r}")
 
 
-def validate_semantic(model, axioms) -> list:
-    """[(axiom, ok, detail)] via lattice arithmetic on the presented groups."""
-    out = []
-    for axiom in axioms:
-        ok, detail = _check_axiom(model, axiom)
-        out.append((axiom, ok, detail))
-    return out
+def validate_semantic(model, sig: Signature, axioms) -> list:
+    """[(axiom, ok, detail)] via lattice arithmetic on the presented groups:
+    a chain equation compares the composites of its two chains, and a
+    segment part checks the pair of maps its segment's matrices name, each
+    symbol of `sig` taken as its `symbol_hom`."""
+    return [(axiom, *_check_axiom(model, sig, axiom)) for axiom in axioms]

@@ -34,6 +34,7 @@ from .fga import (
     lattice_basis,
     preimage_lattice,
     present_subquotient,
+    sparse_sum,
 )
 from .complexes import ChainComplex, HomologyEntry, homology_entry, induced_hom
 from .model import HomologyModel, relative_chain_complex
@@ -110,8 +111,9 @@ class SpectralSequence:
         return entries
 
     def _page_entry(self, n: int, znum, zup, zleft) -> HomologyEntry:
-        den = ([_combine(self._d[n + 1], z) for z in self.z_lattice(zup)[0]]
-               + self.z_lattice(zleft)[0])
+        d = self._d[n + 1]
+        den = ([sparse_sum((a, d[t]) for t, a in z.items())
+                for z in self.z_lattice(zup)[0]] + self.z_lattice(zleft)[0])
         return homology_entry(self.dim(n), self.z_lattice(znum)[1],
                               IntMatrix.from_sparse_cols(den, self.dim(n)))
 
@@ -152,9 +154,12 @@ class SpectralSequence:
             if self.modulus:
                 gens += [{i: self.modulus} for i in range(self.dim(n))]
             if below is not None:
-                pre = preimage_lattice([_combine(self._d[n], g) for g in gens],
-                                       self.z_lattice((below, None))[1])
-                gens = [_combine(gens, x) for x in pre.rows.values()]
+                d = self._d[n]
+                pre = preimage_lattice(
+                    [sparse_sum((a, d[t]) for t, a in g.items()) for g in gens],
+                    self.z_lattice((below, None))[1])
+                gens = [sparse_sum((a, gens[t]) for t, a in x.items())
+                        for x in pre.rows.values()]
             cached = self._z[zkey] = (
                 gens, HermiteBasis.spanned_by(gens, self.dim(n)))
         return cached
@@ -199,15 +204,6 @@ class SpectralSequence:
     def base_homology(self, n: int) -> HomologyEntry:
         """H_n of the whole complex."""
         return self.chains.homology_with_reps(n)
-
-
-def _combine(cols: list, coeffs: dict) -> dict:
-    """The sum of coeffs[t] * cols[t] over sparse vectors."""
-    out = {}
-    for t, a in coeffs.items():
-        for k, e in cols[t].items():
-            out[k] = out.get(k, 0) + a * e
-    return {k: e for k, e in out.items() if e}
 
 
 def run_pages(filtration: Filtration, modulus: int = 0) -> SpectralSequence:

@@ -314,16 +314,13 @@ class PairMorphism:
             if w not in tgt.total._pos:
                 raise ValueError(
                     f"map {self.name!r} sends {v!r} to unknown vertex {w!r}")
-        for s in src.total.simplices:
-            image = tgt.total.sort_simplex(vm[v] for v in s)
-            if not tgt.total.has_simplex(image):
-                raise ValueError(
-                    f"map {self.name!r} is not simplicial on simplex {s}")
-        for s in src.sub.simplices:
-            image = tgt.total.sort_simplex(vm[v] for v in s)
-            if not tgt.sub.has_simplex(image):
-                raise ValueError(
-                    f"map {self.name!r} does not send sub into sub on simplex {s}")
+        for part, into, fault in ((src.total, tgt.total, "is not simplicial"),
+                                  (src.sub, tgt.sub, "does not send sub into sub")):
+            off = [s for s in part.simplices
+                   if not into.has_simplex(tgt.total.sort_simplex(vm[v] for v in s))]
+            if off:     # name the first by dimension, then vertex positions
+                s = min(off, key=lambda s: (len(s), [src.total._pos[v] for v in s]))
+                raise ValueError(f"map {self.name!r} {fault} on simplex {s}")
         if self.kind == "identity":
             if src != tgt or any(vm[v] != v for v in src.total.vertices):
                 raise ValueError(f"edge {self.name!r} is not an identity")

@@ -26,6 +26,11 @@ reference_commutant_lattice is end_algebra's earlier solution lattice,
 with one auxiliary unknown per generator of each condition's relation
 lattice: the relative kernel that replaced it must give the same
 canonical basis.
+reference_exactness_axioms and reference_mv_axioms are the earlier
+hand-written sequents of the long exact segments of a triple and of a
+distinguished square: the sequents generated from the segments' map
+matrices must carry the same names and tags and hold in exactly the
+same finite structures.
 """
 
 import itertools
@@ -47,15 +52,18 @@ from homlab.fga import (
 )
 from homlab.logic import (
     Add,
+    AxiomInstance,
     And,
     App,
     EvalResult,
     Eq,
     Exists,
     Neg,
+    Sequent,
     Top,
     Var,
     Zero,
+    sort_name,
     symbol_hom,
 )
 from homlab.model import relative_chain_complex
@@ -586,3 +594,97 @@ def reference_pages(filtration, modulus=0):
                 dim(n), lattice_basis(zp), prev)[0].iso_invariants()
             prev = zp
     return pages, diffs, homology, subgroup, graded
+
+
+def reference_exactness_axioms(sig, diagram):
+    out = []
+    lo, hi = sig.window
+    for tname in sorted(diagram.triples):
+        t = diagram.triples[tname]
+        for n in range(lo, hi + 1):
+            syz = sort_name(t.nyz, n)
+            sxz = sort_name(t.nxz, n)
+            sxy = sort_name(t.nxy, n)
+            bt, bp = f"{t.bt}@{n}", f"{t.bp}@{n}"
+
+            def emit(which, ctx, ante, cons):
+                out.append(AxiomInstance(
+                    f"exact/{tname}/{n}/{which}",
+                    ("exactness", tname, n, which),
+                    Sequent(ctx, ante, cons)))
+
+            emit("comp_bt_bp", (("x", syz),), Top(),
+                 Eq(App(bp, App(bt, Var("x"))), Zero(sxy)))
+            emit("onto_bt", (("y", sxz),),
+                 Eq(App(bp, Var("y")), Zero(sxy)),
+                 Exists("x", syz, Eq(App(bt, Var("x")), Var("y"))))
+            if n - 1 < lo:
+                continue
+            con = f"{tname}@{n}"
+            syz1 = sort_name(t.nyz, n - 1)
+            sxz1 = sort_name(t.nxz, n - 1)
+            bt1 = f"{t.bt}@{n-1}"
+            emit("comp_bp_bd", (("x", sxz),), Top(),
+                 Eq(App(con, App(bp, Var("x"))), Zero(syz1)))
+            emit("comp_bd_bt", (("x", sxy),), Top(),
+                 Eq(App(bt1, App(con, Var("x"))), Zero(sxz1)))
+            emit("onto_bp", (("y", sxy),),
+                 Eq(App(con, Var("y")), Zero(syz1)),
+                 Exists("x", sxz, Eq(App(bp, Var("x")), Var("y"))))
+            emit("onto_bd", (("y", syz1),),
+                 Eq(App(bt1, Var("y")), Zero(sxz1)),
+                 Exists("x", sxy, Eq(App(con, Var("x")), Var("y"))))
+    return out
+
+
+def reference_mv_axioms(sig, diagram):
+    out = []
+    lo, hi = sig.window
+    for qname in sorted(diagram.squares):
+        q = diagram.squares[qname]
+        for n in range(lo, hi + 1):
+            sb = sort_name((q.b, "0"), n)
+            su = sort_name((q.u, "0"), n)
+            sv = sort_name((q.v, "0"), n)
+            sd = sort_name((q.d, "0"), n)
+            ia, ic = f"{q.ia}@{n}", f"{q.ic}@{n}"
+            ja, jc = f"{q.ja}@{n}", f"{q.jc}@{n}"
+
+            def emit(which, ctx, ante, cons):
+                out.append(AxiomInstance(
+                    f"mv/{qname}/{n}/{which}",
+                    ("mv", qname, n, which),
+                    Sequent(ctx, ante, cons)))
+
+            # pieces map in by (restrict, minus restrict), out by the sum
+            emit("comp_pieces", (("b", sb),), Top(),
+                 Eq(Add(App(ja, App(ia, Var("b"))),
+                        Neg(App(jc, App(ic, Var("b"))))), Zero(sd)))
+            emit("onto_pieces", (("u", su), ("v", sv)),
+                 Eq(Add(App(ja, Var("u")), App(jc, Var("v"))), Zero(sd)),
+                 Exists("b", sb, And(Eq(App(ia, Var("b")), Var("u")),
+                                     Eq(Add(App(ic, Var("b")), Var("v")),
+                                        Zero(sv)))))
+            if n - 1 < lo:
+                continue
+            mv = f"{qname}@{n}"
+            sb1 = sort_name((q.b, "0"), n - 1)
+            su1 = sort_name((q.u, "0"), n - 1)
+            sv1 = sort_name((q.v, "0"), n - 1)
+            ia1, ic1 = f"{q.ia}@{n-1}", f"{q.ic}@{n-1}"
+            emit("comp_union", (("u", su), ("v", sv)), Top(),
+                 Eq(App(mv, Add(App(ja, Var("u")), App(jc, Var("v")))),
+                    Zero(sb1)))
+            emit("comp_inter", (("z", sd),), Top(),
+                 And(Eq(App(ia1, App(mv, Var("z"))), Zero(su1)),
+                     Eq(App(ic1, App(mv, Var("z"))), Zero(sv1))))
+            emit("onto_union", (("z", sd),),
+                 Eq(App(mv, Var("z")), Zero(sb1)),
+                 Exists("u", su, Exists("v", sv,
+                        Eq(Add(App(ja, Var("u")), App(jc, Var("v"))),
+                           Var("z")))))
+            emit("onto_inter", (("b", sb1),),
+                 And(Eq(App(ia1, Var("b")), Zero(su1)),
+                     Eq(App(ic1, Var("b")), Zero(sv1))),
+                 Exists("z", sd, Eq(App(mv, Var("z")), Var("b"))))
+    return out

@@ -222,7 +222,7 @@ def test_c01_axiom_suite_random_diagrams():
         axioms = generate_axioms(sig, diagram, ("core",))
         for modulus in (0, 2, 3, 4, 6):
             model = HomologyModel(diagram, modulus, window)
-            rows = validate_semantic(model, axioms)
+            rows = validate_semantic(model, sig, axioms)
             for ax, ok, detail in rows:
                 checked += 1
                 if not ok:

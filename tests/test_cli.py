@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ from homlab.cli import main
 from oracles import frac_rank, quotient_invariants
 from test_dsl import (
     CUBE_MISSES_A_VERTEX,
+    EVERY_KIND,
     GENERATED_NAME_TAKEN,
     SQUAREMAP_NOT_SIMPLICIAL,
 )
@@ -548,6 +550,25 @@ def test_bad_cube_and_square_maps_exit_two(tmp_path, text, where):
     assert proc.stderr.startswith(f"error: {where}: map ")
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("old, new, line", [
+    # h sends abc onto bcd, and none of its faces ac and abc is in C
+    ("complex C = {ab, bc, cd, ad}", "complex C = {abc, bc, cd, ad}",
+     "line 10, column 20: map 'h' is not simplicial on simplex ('a', 'c')"),
+    # g sends both points b and d of A outside A
+    ("C / A -> C / A by f", "C / A -> C / A by g",
+     "line 9, column 28: map 'e' does not send sub into sub on simplex ('b',)"),
+], ids=["simplicial", "sub"])
+def test_map_error_names_one_simplex_whatever_the_hash_seed(
+        tmp_path, old, new, line):
+    src = tmp_path / "in.hwb"
+    src.write_text(EVERY_KIND.replace(old, new, 1))
+    for seed in range(1, 5):
+        proc = subprocess.run(
+            [sys.executable, "-m", "homlab.cli", str(src)], capture_output=True,
+            text=True, env={**os.environ, "PYTHONHASHSEED": str(seed)})
+        assert proc.returncode == 2 and proc.stderr == f"error: {line}\n", seed
 
 
 @pytest.mark.parametrize("name, where", [

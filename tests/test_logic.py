@@ -34,7 +34,12 @@ from homlab.logic import (
 from homlab.model import HomologyModel
 from homlab.simp import DiagramBuilder, SimplicialComplex, skeleton, subcomplex
 
-from oracles import reference_eval_sequent, reference_finite_structure
+from oracles import (
+    reference_eval_sequent,
+    reference_exactness_axioms,
+    reference_finite_structure,
+    reference_mv_axioms,
+)
 from test_acceptance import axiom_suite_diagram
 
 
@@ -121,7 +126,7 @@ def test_semantic_validation_passes():
     model = HomologyModel(diagram, window=(0, 1))
     sig = generate_signature(diagram, (0, 1))
     axioms = generate_axioms(sig, diagram, flavors=("core",))
-    report = validate_semantic(model, axioms)
+    report = validate_semantic(model, sig, axioms)
     bad = [(a.name, detail) for a, ok, detail in report if not ok]
     assert bad == []
 
@@ -132,7 +137,7 @@ def test_routes_agree_mod_three():
     sig = generate_signature(diagram, (0, 1))
     axioms = generate_axioms(sig, diagram, flavors=("core",))
     st = export_finite_structure(model, sig)
-    semantic = validate_semantic(model, axioms)
+    semantic = validate_semantic(model, sig, axioms)
     for axiom, ok, _ in semantic:
         res = eval_sequent(st, axiom.sequent)
         assert ok and res.valid, axiom.name
@@ -347,7 +352,7 @@ def test_composition_detected_on_prisms():
     families = Counter(a.tag[0] for a in axioms)
     assert families["composition"] == 2 * 2
     assert families["interval"] == 2
-    report = validate_semantic(model, axioms)
+    report = validate_semantic(model, sig, axioms)
     assert all(ok for _, ok, _ in report)
 
 
@@ -358,7 +363,7 @@ def test_square_axioms_both_routes():
     families = Counter(a.tag[0] for a in axioms)
     assert families["mv"] == 2 * 2 + 4 * 1
     model = HomologyModel(diagram, modulus=2, window=(0, 1))
-    report = validate_semantic(model, axioms)
+    report = validate_semantic(model, sig, axioms)
     assert all(ok for _, ok, _ in report)
     st = export_finite_structure(model, sig)
     for a in axioms:
@@ -431,7 +436,7 @@ def test_semantic_failure_details(modulus, tampered, monkeypatch):
                             _scaled(getattr(model, method), tampered, 0))
     sig = generate_signature(diagram, (0, 1))
     axioms = generate_axioms(sig, diagram, FLAVORS)
-    report = validate_semantic(model, axioms)
+    report = validate_semantic(model, sig, axioms)
     assert {a.name: detail for a, ok, detail in report if not ok} == \
         SEMANTIC_FAILURES[modulus, tampered]
     assert all(detail == "holds by construction of the presented groups"
@@ -644,6 +649,47 @@ def test_compiled_evaluator_matches_reference(modulus):
             checked += len(sequents)
     assert checked > 600
     assert invalid > 100
+
+
+@pytest.mark.parametrize("modulus", [2, 3, 4, 6])
+def test_segment_sequents_hold_where_the_hand_written_ones_do(modulus):
+    """The sequents written from the segments' map matrices carry the
+    names and tags of the earlier hand-written ones and get the same
+    verdict, with the same counterexample values, on every structure,
+    also where tampered tables are no homomorphisms.  A triple's are the
+    very same sequents; a square's differ in variable names and in
+    writing -ic(x) = y2 where the earlier ones wrote ic(b) + v = 0."""
+    rng = random.Random(2800 + modulus)
+    invalid = 0
+    for make in (interval_triple_diagram, union_square_diagram, cycle_diagram):
+        diagram = make()
+        sig = generate_signature(diagram, (0, 1))
+        model = HomologyModel(diagram, modulus=modulus, window=(0, 1))
+        generated = {a.name: a for a in generate_axioms(sig, diagram, FLAVORS)
+                     if a.tag[0] in ("exactness", "mv")}
+        reference = {a.name: a for a in reference_exactness_axioms(sig, diagram)
+                     + reference_mv_axioms(sig, diagram)}
+        assert generated.keys() == reference.keys() and reference
+        for name, ref in reference.items():
+            new = generated[name]
+            assert new.tag == ref.tag and check_sequent(sig, new.sequent)
+            assert [s for _, s in new.sequent.context] == \
+                [s for _, s in ref.sequent.context]
+            if ref.tag[0] == "exactness":
+                assert new.sequent == ref.sequent
+        for tampered in (False, True):
+            st = export_finite_structure(model, sig)
+            if tampered:
+                _tamper(st, rng)
+            for name, ref in reference.items():
+                got = eval_sequent(st, generated[name].sequent)
+                want = eval_sequent(st, ref.sequent)
+                assert got.valid == want.valid, name
+                if not want.valid:
+                    assert list(got.counterexample.values()) == \
+                        list(want.counterexample.values()), name
+                    invalid += 1
+    assert invalid > 5
 
 
 # -- exporting what the sequents read ------------------------------------------
