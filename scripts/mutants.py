@@ -48,6 +48,20 @@ MUTANTS = (
      "indexes, bits = globals().setdefault('_shared', {}).setdefault("
      "id(table), [None] * len(table)), self.bits",
      ["tests/test_logic.py::test_table_edits_between_calls_are_seen"]),
+    ("exists stops at its first hit", LOGIC,
+     "if hit == every:",
+     "if hit != settled:",
+     ["tests/test_logic.py::test_vector_path_matches_reference",
+      "tests/test_logic.py::test_routes_agree_mod_three"]),
+    ("scalar plus row translated by the other operand's sum row", LOGIC,
+     "pad = pads[k] = _pad(sums[k])",
+     "pad = pads[k] = _pad(sums[b(env)[0]])",
+     ["tests/test_logic.py::test_vector_path_matches_reference",
+      "tests/test_logic.py::test_byte_vectors_at_the_cut_off"]),
+    ("byte vectors past 256 elements", LOGIC,
+     "return bytes if size <= BYTE_CARRIER else list",
+     "return bytes if size <= BYTE_CARRIER + 1 else list",
+     ["tests/test_logic.py::test_byte_vectors_at_the_cut_off"]),
     ("sign of ic in alpha flipped", LOGIC,
      'return [[(1, f"{q.ia}@{k}")], [(-1, f"{q.ic}@{k}")]]',
      'return [[(1, f"{q.ia}@{k}")], [(1, f"{q.ic}@{k}")]]',

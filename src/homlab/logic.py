@@ -544,6 +544,10 @@ class FiniteStructure:
     `tables` maps each function symbol's source elements to target
     elements.  It is not indexed here: the evaluator reads it at each call,
     so edits made after export are seen.
+
+    Negations and sum tables stay lists of positions, whatever the size of
+    the carrier.  On a sort of at most `BYTE_CARRIER` (256) elements the
+    evaluator makes `bytes` rows from them in each call and keeps none.
     """
 
     def __init__(self):
@@ -644,6 +648,29 @@ class EvalResult:
         return self.valid
 
 
+# A sort of at most this many elements keeps its vectors as bytes: each
+# position fits in a byte, and a 256-byte table maps them all.
+BYTE_CARRIER = 256
+
+
+def _images(st: FiniteStructure, func: str) -> list:
+    """The target position of the image of each source position of a
+    symbol, read from `st.tables` now."""
+    src, tgt = st.func_sorts[func]
+    table, index = st.tables[func], st.index[tgt]
+    return [index[table[e]] for e in st.carriers[src]]
+
+
+def _vector_type(size: int) -> type:
+    """The type of the vectors of a sort of `size` elements."""
+    return bytes if size <= BYTE_CARRIER else list
+
+
+def _pad(row) -> bytes:
+    """A row of positions below 256 as a `bytes.translate` table."""
+    return bytes(row).ljust(256)
+
+
 def _getter(row) -> Callable:
     """r -> (r[row[0]], r[row[1]], ...), a tuple also for a row of one."""
     get = itemgetter(*row)
@@ -676,13 +703,24 @@ class _Compiler:
     once per binding of its own variables.  `term` returns (closure,
     sort, is_vector) and `formula` returns (closure, is_vector).
 
+    A vector of a sort with at most `BYTE_CARRIER` (256) elements is
+    `bytes`, else a list.  On bytes, a symbol or negation applied to a
+    vector, and a scalar plus a vector, map the vector through a table
+    with `bytes.translate`: the symbol's images, the negation, or the
+    scalar's row of the sum table, padded to 256 bytes.  The byte rows
+    and pads are made in the call from the structure's lists.  A vector
+    plus a vector maps the sum table over both, and so do symbols between
+    a byte sort and a list sort.
+
     A row closure is a vector closure known to return row sel(env) of a
-    fixed table (`rows` maps it to (table, sel)): the axis, its image
-    under a symbol or negation, and a scalar plus the axis.  A row equated
-    with a scalar is looked up in an index of the row's values, and a
-    scalar plus a row composes the row with a row of the sum table by an
-    `itemgetter`.  Each is built once per row, inside the closures, so
-    nothing outlives the call.
+    fixed table (`rows` maps it to (table, sel), with the table's rows as
+    the structure holds them, not yet vectors): the axis, its image under
+    a symbol or negation, and a scalar plus the axis.  A row equated with
+    a scalar is looked up in an index of the row's values, and on a list
+    sort a scalar plus a row composes the row with a row of the sum table
+    by an `itemgetter`.  Each row's vector, pad, index and getter is built
+    once, when first needed, inside the closures, so nothing outlives the
+    call.
 
     A vector formula closure returns a truth vector, an int with one byte
     per axis position: 1 where the formula holds, 0 where it fails.  It
@@ -700,21 +738,43 @@ class _Compiler:
         self.nslots = nslots
         self.axis = axis
         self.rows: Dict[Callable, tuple] = {}
-        self.axis_var = self._row([list(range(size))])
+        self.made: Dict[int, list] = {}
+        self.axis_var = self._row([range(size)], _vector_type(size))
         self.bits = [1 << (i << 3) for i in range(size)]
         self.every = int.from_bytes(b"\1" * size, "little")
 
-    def _row(self, table, sel=lambda env: 0) -> Callable:
-        """The row closure env -> table[sel(env)]."""
-        row = lambda env: table[sel(env)]
+    def _vector(self, sort: str) -> type:
+        return _vector_type(len(self.st.carriers[sort]))
+
+    def _row(self, table, vector: type, sel=lambda env: 0) -> Callable:
+        """The row closure env -> vector(table[sel(env)]).  A lone row is
+        made now; the closures of a longer table share the rows they make,
+        each made when first asked for."""
+        if len(table) == 1:
+            made_0 = vector(table[0])
+            row = lambda env: made_0
+        else:
+            made = self.made.setdefault(id(table), [None] * len(table))
+
+            def row(env):
+                k = sel(env)
+                made_k = made[k]
+                if made_k is None:
+                    made_k = made[k] = vector(table[k])
+                return made_k
         self.rows[row] = table, sel
         return row
 
-    def _mapped(self, table, a) -> Callable:
-        """The vector closure of table[arg], given that of arg."""
+    def _mapped(self, table, a, source: str, target: str) -> Callable:
+        """The vector closure of table[arg], given that of arg, a vector of
+        the source sort; table holds positions of the target sort."""
+        vector = self._vector(target)
         if a is self.axis_var:
-            return self._row([table])
-        return lambda env: list(map(table.__getitem__, a(env)))
+            return self._row([table], vector)
+        if vector is bytes and self._vector(source) is bytes:
+            pad = _pad(table)
+            return lambda env: a(env).translate(pad)
+        return lambda env: vector(map(table.__getitem__, a(env)))
 
     def term(self, term, slots) -> Tuple[Callable, str, bool]:
         st = self.st
@@ -736,14 +796,24 @@ class _Compiler:
                 # the table is symmetric (coordinatewise addition), so the
                 # operands may swap: b is a vector, the axis if either is
                 a, av, b = b, bv, a
+            vector = self._vector(sort)
             if b is self.axis_var:
                 if av:      # sums[a[i]][i] = sums[i][a[i]]
-                    add = lambda env: list(map(list.__getitem__, sums, a(env)))
+                    add = lambda env: vector(map(list.__getitem__, sums, a(env)))
                 else:
-                    add = self._row(sums, a)
+                    add = self._row(sums, vector, a)
             elif av:
-                add = lambda env: list(map(list.__getitem__,
-                                           map(sums.__getitem__, a(env)), b(env)))
+                add = lambda env: vector(map(list.__getitem__,
+                                             map(sums.__getitem__, a(env)), b(env)))
+            elif vector is bytes:   # sums[a][b[i]] at each position i
+                pads = [None] * len(sums)
+
+                def add(env):
+                    k = a(env)
+                    pad = pads[k]
+                    if pad is None:
+                        pad = pads[k] = _pad(sums[k])
+                    return b(env).translate(pad)
             elif b in self.rows:    # sums[a][table[k][i]] at each position i
                 table, sel = self.rows[b]
                 getters = [None] * len(table)
@@ -761,16 +831,14 @@ class _Compiler:
             a, sort, av = self.term(term.arg, slots)
             negation = st.negation[sort]
             if av:
-                return self._mapped(negation, a), sort, True
+                return self._mapped(negation, a, sort, sort), sort, True
             return (lambda env: negation[a(env)]), sort, False
         if isinstance(term, App):
             a, _, av = self.term(term.arg, slots)
             src, tgt = st.func_sorts[term.func]
-            table, index = st.tables[term.func], st.index[tgt]
-            # read from the table now, so edits after export are seen
-            images = [index[table[e]] for e in st.carriers[src]]
+            images = _images(st, term.func)     # so edits after export are seen
             if av:
-                return self._mapped(images, a), tgt, True
+                return self._mapped(images, a, src, tgt), tgt, True
             return (lambda env: images[a(env)]), tgt, False
         raise TypeError(f"not a term: {term!r}")
 
@@ -921,7 +989,11 @@ def eval_sequent(st: FiniteStructure, seq: Sequent) -> EvalResult:
     The context is searched as nested loops in its declared order down to
     the axis, the last context variable that either formula mentions.
     The formulas at that last depth are evaluated once per binding of the
-    slots above the axis, over all the axis positions at once; each other
+    slots above the axis, over all the axis positions at once, as vectors
+    of positions: `bytes` on a sort of at most `BYTE_CARRIER` (256)
+    elements, mapped through tables by `bytes.translate`, and lists on a
+    larger one (see `_Compiler`).  The byte rows are made in the call from
+    the structure's lists and kept nowhere.  Each other
     formula is still evaluated once per binding of its own variables,
     at the depth of the last one it mentions.  A subtree is skipped where
     the antecedent is false or the consequent true; where the consequent
@@ -980,8 +1052,7 @@ def eval_sequents(st: FiniteStructure, sequents) -> List[EvalResult]:
     @cache
     def func(f):
         src, tgt = st.func_sorts[f]
-        table, index = st.tables[f], st.index[tgt]
-        images = tuple(index[table[e]] for e in st.carriers[src])
+        images = tuple(_images(st, f))
         return ids.setdefault((sort(src), sort(tgt), images), len(ids))
 
     shapes = [_shape(seq, sort, func) for seq in sequents]

@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, seed, settings, strategies
 
+from homlab import logic
 from homlab.fga import GroupHom
 from homlab.logic import (
     Add,
@@ -910,6 +911,81 @@ def test_vector_path_matches_reference(modulus):
     # both outcomes occur often, and tampering breaks more sequents
     assert invalid[0] > 100 and len(sequents) - invalid[0] > 50
     assert invalid[1] > invalid[0]
+
+
+def mixed_structure():
+    """A = Z/16 x Z/17 (272 elements) and B = Z/17, with the projection
+    p : A -> B and the inclusion i : B -> A."""
+    st = FiniteStructure()
+    st.add_sort("A", (16, 17))
+    st.add_sort("B", (17,))
+    st.add_function("p", "A", "B", {e: e[1:] for e in st.carriers["A"]})
+    st.add_function("i", "B", "A", {e: (0, *e) for e in st.carriers["B"]})
+    return st
+
+
+def cut_off_sequents(s, f):
+    """One-variable sequents over sort s and an endomorphism f of it, whose
+    vectors are f and negation of the axis and of other vectors, a zero
+    plus a vector, and an `exists` over s."""
+    x, w, zero = Var("x"), Var("w"), Zero(s)
+    ctx = (("x", s),)
+    return [Sequent(ctx, Top(), cons) for cons in (
+        Eq(App(f, x), x),
+        Eq(Neg(App(f, x)), App(f, Neg(x))),
+        Eq(Add(zero, App(f, x)), App(f, Add(x, zero))),
+        Eq(Add(App(f, App(f, x)), Neg(x)), zero),
+        Exists("w", s, Eq(App(f, w), x)),
+        Exists("w", s, Eq(Add(App(f, w), Neg(x)), zero)),
+    )] + [Sequent(ctx, Eq(App(f, x), x), Exists("w", s, Eq(Neg(w), App(f, x))))]
+
+
+def mixed_sequents():
+    """Sequents whose symbols map byte vectors of B to list vectors of A
+    and back."""
+    x, y, w = Var("x"), Var("y"), Var("w")
+    yx = (("y", "B"), ("x", "A"))
+    return [
+        Sequent(yx, Top(), Eq(App("p", x), y)),
+        Sequent(yx, Top(), Eq(App("p", Add(App("i", y), x)),
+                              Add(y, App("p", x)))),
+        Sequent((("x", "A"),), Top(), Eq(App("p", Neg(x)), Neg(App("p", x)))),
+        Sequent((("x", "A"),), Top(),
+                Eq(App("p", App("i", App("p", x))), App("p", x))),
+        Sequent((("x", "B"),), Top(),
+                Eq(App("p", Add(Zero("A"), App("i", x))), Add(x, Zero("B")))),
+        Sequent((("y", "B"),), Top(), Exists("w", "A", Eq(App("p", w), y))),
+    ]
+
+
+def test_byte_vectors_at_the_cut_off():
+    # sorts of 256 elements take byte vectors and of 257 lists; A and B
+    # mix the two; each against the reference, tampered or not
+    rng = random.Random(29)
+    cases = []
+    for modulus, vector in ((256, bytes), (257, list)):
+        sig, st = circle_structure(modulus)
+        sequents = cut_off_sequents("h1(S)", "id:S/0@1")
+        for seq in sequents:
+            check_sequent(sig, seq)
+        assert logic._vector_type(len(st.carriers["h1(S)"])) is vector
+        cases.append((lambda m=modulus: circle_structure(m)[1], sequents))
+    st = mixed_structure()
+    assert [logic._vector_type(len(st.carriers[s])) for s in "AB"] == [list, bytes]
+    cases.append((mixed_structure, mixed_sequents()))
+    outcomes = []
+    for make, sequents in cases:
+        for tampered in (False, True):
+            st = make()
+            if tampered:
+                _tamper(st, rng)
+            for seq in sequents:
+                got, want = eval_sequent(st, seq), reference_eval_sequent(st, seq)
+                assert (got.valid, got.counterexample) == \
+                    (want.valid, want.counterexample), seq
+                outcomes.append((tampered, got.valid))
+    # both verdicts occur, tampered and not
+    assert set(outcomes) == set(itertools.product((False, True), repeat=2))
 
 
 # -- one enumeration per distinct finite problem ------------------------------
