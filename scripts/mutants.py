@@ -25,6 +25,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 FGA = "src/homlab/fga.py"
 LOGIC = "src/homlab/logic.py"
+MODEL = "src/homlab/model.py"
+NIVEAU = "src/homlab/niveau.py"
 
 # (name, file, exact text, replacement, test ids that must fail)
 MUTANTS = (
@@ -81,6 +83,20 @@ MUTANTS = (
      "return reduce(GroupHom.__matmul__, reversed(homs))",
      ["tests/test_logic.py::test_composition_detected_on_prisms",
       "tests/test_logic.py::test_semantic_failure_details"]),
+    ("records of different kinds compared by their fields alone", LOGIC,
+     "        if type(other) is not type(self):\n"
+     "            return NotImplemented\n",
+     "",
+     ["tests/test_logic.py::test_records_compare_by_class_and_fields"]),
+    ("every connecting map of a triple negated", MODEL,
+     "lifted[i] = c",
+     "lifted[i] = -c",
+     ["tests/test_model.py::test_model_maps_pinned",
+      "tests/test_cli.py::test_sequent_counterexamples_pinned"]),
+    ("every page differential negated", NIVEAU,
+     "self.chains.differential(p + q).matrix.apply",
+     "self.chains.differential(p + q).matrix.scaled(-1).apply",
+     ["tests/test_niveau.py::test_pages_match_reference"]),
     ("Hermite step without its U update", FGA,
      "\n                _axpy(u, PU, e // p)", "",
      ["tests/test_fga.py::test_smith_output_pinned",

@@ -18,7 +18,6 @@ from .fga import (
     IntMatrix,
     QuotientExpresser,
     hstack,
-    is_exact_at,
     kernel,  # noqa: F401  (perfbench/tracer.py rebinds this module's alias)
     preimage_lattice,
     present_subquotient,
@@ -140,28 +139,6 @@ class ChainComplex:
                                  f"homomorphism, at degree {n}: {e}") from e
         return entry
 
-    def shift(self, k: int) -> "ChainComplex":
-        return ChainComplex(self.n_min + k, self.n_max + k,
-                            {n + k: g for n, g in self.groups.items()},
-                            {n + k: d for n, d in self.diffs.items()})
-
     def homology_table(self) -> List[Tuple[int, tuple]]:
         return [(n, self.homology(n).iso_invariants())
                 for n in range(self.n_min, self.n_max + 1)]
-
-
-def check_long_exact(groups: Sequence[FgAbGroup], maps: Sequence[GroupHom]) -> list:
-    """Exactness report for G_0 -> G_1 -> ... at every interior node.
-
-    Returns a list of (position, ExactnessResult); the sequence is exact
-    iff every result is.
-    """
-    if len(maps) != len(groups) - 1:
-        raise ValueError("need exactly one map between consecutive groups")
-    for i, f in enumerate(maps):
-        if f.source != groups[i] or f.target != groups[i + 1]:
-            raise ValueError(f"map {i} does not match its endpoints")
-    report = []
-    for i in range(1, len(groups) - 1):
-        report.append((i, is_exact_at(maps[i - 1], maps[i])))
-    return report

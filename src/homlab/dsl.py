@@ -16,7 +16,6 @@ characters; `0` names the empty complex and cannot be redeclared.
 """
 
 import re
-from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .logic import (
@@ -26,6 +25,7 @@ from .logic import (
     Eq,
     Exists,
     Neg,
+    Record,
     Sequent,
     Top,
     Var,
@@ -92,8 +92,7 @@ def tokenize(text: str) -> List[List[Token]]:
     return rows
 
 
-@dataclass
-class WorkbenchSpec:
+class WorkbenchSpec(Record):
     """Everything a run needs, fully cross-checked at parse time: each
     diagram declaration has been added to `diagram`, which checks it.
 
@@ -104,12 +103,16 @@ class WorkbenchSpec:
     ("cellular", "F") or ("validate",).
     """
 
-    diagram: DiagramBuilder = field(default_factory=DiagramBuilder)
-    maps: Dict[str, Dict[str, str]] = field(default_factory=dict)
-    map_names: Dict[str, str] = field(default_factory=dict)
-    filtrations: Dict[str, tuple] = field(default_factory=dict)
-    sequents: Dict[str, Sequent] = field(default_factory=dict)
-    command: Optional[tuple] = None
+    __slots__ = ("diagram", "maps", "map_names", "filtrations", "sequents",
+                 "command")
+
+    def __init__(self):
+        self.diagram = DiagramBuilder()
+        self.maps: Dict[str, Dict[str, str]] = {}
+        self.map_names: Dict[str, str] = {}
+        self.filtrations: Dict[str, tuple] = {}
+        self.sequents: Dict[str, Sequent] = {}
+        self.command: Optional[tuple] = None
 
 
 class _Parser:

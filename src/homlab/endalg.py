@@ -14,7 +14,6 @@ sparse matrix {column: {row: entry}} on the direct sum of the node groups:
 a zero product needs no solve, and each action gap goes to `first_nonzero`.
 """
 
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -31,15 +30,17 @@ from .fga import (
     present_subquotient,
     sparse_sum,
 )
-from .logic import Signature, generate_signature, symbol_hom
+from .logic import Frozen, Record, Signature, generate_signature, symbol_hom
 
 
-@dataclass(frozen=True)
-class Subdiagram:
+class Subdiagram(Frozen):
     """A node-and-edge selection; edges must keep both endpoints."""
 
-    nodes: Tuple[str, ...]
-    edges: Tuple[str, ...]
+    __slots__ = ("nodes", "edges")
+
+    def __init__(self, nodes: Tuple[str, ...], edges: Tuple[str, ...]):
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", edges)
 
     def contains(self, other: "Subdiagram") -> bool:
         return (set(other.nodes) <= set(self.nodes)
@@ -374,10 +375,12 @@ def restriction_map(big: EndAlgebra, small: EndAlgebra) -> GroupHom:
     return hom
 
 
-@dataclass
-class ActionReport:
-    ok: bool
-    issues: list
+class ActionReport(Record):
+    __slots__ = ("ok", "issues")
+
+    def __init__(self, ok: bool, issues: list):
+        self.ok = ok
+        self.issues = issues
 
     def __bool__(self):
         return self.ok

@@ -150,31 +150,6 @@ class IntMatrix:
     def is_zero(self) -> bool:
         return all(a == 0 for row in self.data for a in row)
 
-    def det(self) -> int:
-        """Determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = [list(r) for r in self.data]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k]:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, IntMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self.data == other.data)
@@ -786,12 +761,6 @@ def lattice_basis(G: IntMatrix) -> HermiteBasis:
     return hnf_rows(G.transpose())
 
 
-def same_lattice(A: IntMatrix, B: IntMatrix) -> bool:
-    if A.rows != B.rows:
-        raise ValueError("lattices in different ambient ranks")
-    return lattice_basis(A).rows == lattice_basis(B).rows
-
-
 def preimage_lattice(M, L: HermiteBasis) -> HermiteBasis:
     """{x : M x lies in L}: the kernel of M relative to L (see `kernel`)."""
     return kernel(M, L)
@@ -850,10 +819,6 @@ class FgAbGroup:
     def zero(cls) -> "FgAbGroup":
         return cls(0)
 
-    @classmethod
-    def cyclic(cls, m: int) -> "FgAbGroup":
-        return cls(1, IntMatrix([[m]]))
-
     def relation_cols(self) -> IntMatrix:
         return self.relations.transpose()
 
@@ -863,10 +828,6 @@ class FgAbGroup:
             self._lattice = HermiteBasis.spanned_by(
                 map(_sparse, self.relations.data), self.ngens)
         return self._lattice
-
-    def is_relation(self, vec: Sequence[int]) -> bool:
-        """Whether vec is zero in the group."""
-        return self.relation_lattice().contains(_sparse(vec))
 
     def iso_invariants(self) -> tuple:
         """(free rank, torsion chain t_1 | t_2 | ... with each t_i >= 2),
@@ -1017,44 +978,12 @@ def hom_kernel(f: GroupHom) -> tuple:
     return group, GroupHom(group, f.source, P.as_columns())
 
 
-def hom_image(f: GroupHom) -> tuple:
-    """(image group, inclusion hom into the target)."""
-    f.require_well_defined()
-    Q = _image_lattice(f)
-    group = _presented_in(Q, f.target.relations.data, RuntimeError(
-        "target relation escaped the image lattice"))
-    return group, GroupHom(group, f.target, Q.as_columns())
-
-
 def hom_cokernel(f: GroupHom) -> tuple:
     """(cokernel group, projection hom from the target)."""
     f.require_well_defined()
     rels = vstack([f.target.relations, f.matrix.transpose()])
     group = FgAbGroup(f.target.ngens, rels)
     return group, GroupHom(f.target, group, IntMatrix.identity(f.target.ngens))
-
-
-class ExactnessResult:
-    """Outcome of an exactness test, with a discrepancy witness on failure.
-
-    witness is a vector in the middle group's generator coordinates;
-    reason says on which side the inclusion failed.
-    """
-
-    __slots__ = ("exact", "witness", "reason")
-
-    def __init__(self, exact: bool, witness=None, reason: str = ""):
-        self.exact = exact
-        self.witness = witness
-        self.reason = reason
-
-    def __bool__(self):
-        return self.exact
-
-    def __repr__(self):
-        if self.exact:
-            return "ExactnessResult(exact)"
-        return f"ExactnessResult(failed: {self.reason}, witness={self.witness})"
 
 
 def _image_lattice(f: GroupHom) -> HermiteBasis:
@@ -1083,21 +1012,6 @@ def kernel_in_image(f: GroupHom, g: GroupHom) -> Optional[tuple]:
         if not img.contains(v):
             return tuple(v.get(i, 0) for i in range(g.source.ngens))
     return None
-
-
-def is_exact_at(f: GroupHom, g: GroupHom) -> ExactnessResult:
-    """Exactness of  f.source -> middle -> g.target  at the middle group."""
-    if f.target != g.source:
-        raise ValueError("maps do not compose at a common middle group")
-    f.require_well_defined()
-    g.require_well_defined()
-    w = composite_is_zero(f, g)
-    if w is not None:
-        return ExactnessResult(False, w, "composite is not zero")
-    w = kernel_in_image(f, g)
-    if w is not None:
-        return ExactnessResult(False, w, "kernel class not in the image")
-    return ExactnessResult(True)
 
 
 def is_isomorphism(f: GroupHom) -> bool:

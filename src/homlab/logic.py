@@ -19,9 +19,10 @@ parts and, built into maps, their lattice checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
 from functools import cache, reduce
 from itertools import product, repeat
+from math import prod
 from operator import eq, itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -30,63 +31,122 @@ from .fga import CanonicalForm, GroupHom, composite_is_zero, hom_concat, hom_sta
 # -- terms and formulas ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Record:
+    """A record whose fields are its class's `__slots__`, set by name in
+    its `__init__`.  It equals a record of the same class with equal
+    fields, so node kinds with equal fields stay apart, and prints as
+    `Class(field=value, ...)`."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__slots__])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
 
-@dataclass(frozen=True)
-class Zero:
-    sort: str
+class Frozen(Record):
+    """A record that refuses assignment, so its `__init__` sets each field
+    with `object.__setattr__`.  It hashes as the tuple of its fields, and
+    copies and pickles by its class and fields."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
 
-@dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
+class Var(Frozen):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: object
+class Zero(Frozen):
+    __slots__ = ("sort",)
+
+    def __init__(self, sort: Optional[str]):
+        object.__setattr__(self, "sort", sort)
 
 
-@dataclass(frozen=True)
-class App:
-    func: str
-    arg: object
+class Add(Frozen):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Top:
-    pass
+class Neg(Frozen):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg):
+        object.__setattr__(self, "arg", arg)
 
 
-@dataclass(frozen=True)
-class Eq:
-    left: object
-    right: object
+class App(Frozen):
+    __slots__ = ("func", "arg")
+
+    def __init__(self, func: str, arg):
+        object.__setattr__(self, "func", func)
+        object.__setattr__(self, "arg", arg)
 
 
-@dataclass(frozen=True)
-class And:
-    left: object
-    right: object
+class Top(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Exists:
-    var: str
-    sort: str
-    body: object
+class Eq(Frozen):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Sequent:
+class And(Frozen):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
+
+class Exists(Frozen):
+    __slots__ = ("var", "sort", "body")
+
+    def __init__(self, var: str, sort: str, body):
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "sort", sort)
+        object.__setattr__(self, "body", body)
+
+
+class Sequent(Frozen):
     """forall context: antecedent entails consequent."""
-    context: Tuple[Tuple[str, str], ...]
-    antecedent: object
-    consequent: object
+    __slots__ = ("context", "antecedent", "consequent")
+
+    def __init__(self, context: Tuple[Tuple[str, str], ...], antecedent,
+                 consequent):
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "antecedent", antecedent)
+        object.__setattr__(self, "consequent", consequent)
 
 
 # -- signatures --------------------------------------------------------------
@@ -99,14 +159,17 @@ def sort_name(key: Tuple[str, str], n: int) -> str:
     return f"h{n}({total},{sub})"
 
 
-@dataclass(frozen=True)
-class FuncInfo:
-    name: str
-    kind: str          # "edge" | "connecting" | "mv"
-    source: str
-    target: str
-    ref: str           # edge / triple / square name in the diagram
-    degree: int
+class FuncInfo(Frozen):
+    __slots__ = ("name", "kind", "source", "target", "ref", "degree")
+
+    def __init__(self, name: str, kind: str, source: str, target: str,
+                 ref: str, degree: int):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "kind", kind)  # "edge" | "connecting" | "mv"
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "ref", ref)    # edge / triple / square name
+        object.__setattr__(self, "degree", degree)
 
 
 class Signature:
@@ -134,9 +197,9 @@ class Signature:
 
 
 def _shape(seq: Sequent, sort: Callable, func: Callable) -> tuple:
-    """seq as nested tuples (node type, fields...), with each sort name s
-    replaced by sort(s) and each symbol name f by func(f); variable names
-    and context order are kept."""
+    """seq as nested tuples (node type, fields in slot order...), with
+    each sort name s replaced by sort(s) and each symbol name f by
+    func(f); variable names and context order are kept."""
     def walk(node):
         kind = type(node)
         if kind is Var:
@@ -147,7 +210,7 @@ def _shape(seq: Sequent, sort: Callable, func: Callable) -> tuple:
             return kind, func(node.func), walk(node.arg)
         if kind is Exists:
             return kind, node.var, sort(node.sort), walk(node.body)
-        return (kind, *map(walk, vars(node).values()))  # Add Neg Eq And Top
+        return (kind, *[walk(getattr(node, f)) for f in node.__slots__])  # Add Neg Eq And Top
     return (tuple((v, sort(s)) for v, s in seq.context),
             walk(seq.antecedent), walk(seq.consequent))
 
@@ -191,11 +254,13 @@ def generate_signature(diagram, window: Tuple[int, int]) -> Signature:
 # -- axiom generation --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AxiomInstance:
-    name: str
-    tag: tuple
-    sequent: Sequent
+class AxiomInstance(Frozen):
+    __slots__ = ("name", "tag", "sequent")
+
+    def __init__(self, name: str, tag: tuple, sequent: Sequent):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "sequent", sequent)
 
 
 def _group_axioms(sig: Signature) -> List[AxiomInstance]:
@@ -560,6 +625,10 @@ class FiniteStructure:
         self.sums: Dict[str, list] = {}
 
     def add_sort(self, name: str, moduli: tuple):
+        size = prod(moduli)
+        if size > sys.maxsize:
+            raise ValueError(f"sort {name} has {size} elements, too many "
+                             f"to enumerate")
         self.moduli[name] = moduli
         carrier = self.carriers[name] = list(product(*map(range, moduli)))
         self.index[name] = {e: i for i, e in enumerate(carrier)}
@@ -639,10 +708,12 @@ def export_finite_structure(model, sig: Signature) -> FiniteStructure:
     return st
 
 
-@dataclass
-class EvalResult:
-    valid: bool
-    counterexample: Optional[dict] = None
+class EvalResult(Record):
+    __slots__ = ("valid", "counterexample")
+
+    def __init__(self, valid: bool, counterexample: Optional[dict] = None):
+        self.valid = valid
+        self.counterexample = counterexample
 
     def __bool__(self):
         return self.valid

@@ -140,10 +140,6 @@ class HomologyModel:
     def group(self, key: Key, n: int) -> FgAbGroup:
         return self.entry(key, n).group
 
-    def generator_reps(self, key: Key, n: int) -> IntMatrix:
-        """Columns: chain representatives of the homology generators."""
-        return self.entry(key, n).reps
-
     def express(self, key: Key, n: int, chain) -> tuple:
         """Homology class of a cycle, in generator coordinates."""
         coords = self.entry(key, n).expresser.express(chain)

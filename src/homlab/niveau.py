@@ -37,14 +37,8 @@ from .fga import (
     sparse_sum,
 )
 from .complexes import ChainComplex, HomologyEntry, homology_entry, induced_hom
-from .model import HomologyModel, relative_chain_complex
-from .simp import (
-    EMPTY_NAME,
-    DiagramBuilder,
-    Filtration,
-    SimpPair,
-    SimplicialComplex,
-)
+from .model import relative_chain_complex
+from .simp import Filtration, SimpPair, SimplicialComplex
 
 
 class SpectralSequence:
@@ -279,96 +273,6 @@ def check_convergence(spec: SpectralSequence,
     return bad
 
 
-# -- the first page via relative pairs ------------------------------------------
-
-
-def filtration_diagram(filtration: Filtration):
-    """Diagram with one pair per filtration step and the triples that
-    produce the first-page differentials.
-
-    Returns (diagram, pair keys by p, triple names by p).
-    """
-    b = DiagramBuilder()
-    names = []
-    for p in range(len(filtration.steps)):
-        name = f"F{p}"
-        b.add_complex(name, filtration.steps[p])
-        names.append(name)
-    pair_keys = []
-    for p, name in enumerate(names):
-        below = names[p - 1] if p else EMPTY_NAME
-        b.add_pair(name, below)
-        pair_keys.append((name, below))
-    triple_names = {}
-    for p in range(1, len(names)):
-        small = names[p - 2] if p >= 2 else EMPTY_NAME
-        tname = f"Ft{p}"
-        b.add_triple(tname, names[p], names[p - 1], small)
-        triple_names[p] = tname
-    return b.build(), pair_keys, triple_names
-
-
-def compare_first_page(spec: SpectralSequence) -> list:
-    """Cross-check E^1 and d^1 against the relative-homology route.
-
-    The first page must match H_{p+q}(F_p, F_{p-1}) and the differential
-    the connecting morphism of (F_p, F_{p-1}, F_{p-2}); we compare group
-    invariants and the homology of each row complex.  Returns a list of
-    discrepancy strings, empty when the two constructions agree.
-    """
-    diagram, pair_keys, triple_names = filtration_diagram(spec.filtration)
-    model = HomologyModel(diagram, spec.modulus, (0, spec.top))
-    bad = []
-    for (p, q) in spec.grid:
-        n = p + q
-        mine = spec.group(1, p, q).iso_invariants()
-        other = model.group(pair_keys[p], n).iso_invariants()
-        if mine != other:
-            bad.append(f"E1({p},{q}): {mine} != pair homology {other}")
-    # homology of the q = 0 row, both routes
-    for p in range(min(spec.d_len, spec.top) + 1):
-        into = spec.differential(1, p + 1, 0)
-        out = spec.differential(1, p, 0)
-        mine = _middle_homology(spec.group(1, p, 0), into, out)
-        m_into = (model.connecting(triple_names[p + 1], p + 1)
-                  if p + 1 in triple_names and p + 1 <= spec.top else None)
-        m_out = (model.connecting(triple_names[p], p)
-                 if p in triple_names and p >= 1 else None)
-        other = _middle_homology(model.group(pair_keys[p], p), m_into, m_out)
-        if mine != other:
-            bad.append(f"row homology at p={p}: {mine} != {other}")
-    return bad
-
-
-def _middle_homology(group: FgAbGroup, into: Optional[GroupHom],
-                     out: Optional[GroupHom]) -> tuple:
-    if into is None:
-        into = GroupHom.zero_map(FgAbGroup.zero(), group)
-    if out is None:
-        out = GroupHom.zero_map(group, FgAbGroup.zero())
-    cx = ChainComplex(0, 2, {0: out.target, 1: group, 2: into.source},
-                      {1: out, 2: into})
-    return cx.homology(1).iso_invariants()
-
-
-def page_turn_mismatches(spec: SpectralSequence) -> list:
-    """E^{r+1} must be the homology of (E^r, d^r) at every spot."""
-    bad = []
-    for r in range(1, spec.d_len + 1):
-        for (p, q) in spec.grid:
-            into = spec.differential(r, p + r, q - r + 1)
-            out = spec.differential(r, p, q)
-            if into is not None and out is not None:
-                comp = out @ into
-                if not comp.is_zero():
-                    bad.append((r, p, q, "d∘d not zero"))
-            got = _middle_homology(spec.group(r, p, q), into, out)
-            want = spec.group(r + 1, p, q).iso_invariants()
-            if got != want:
-                bad.append((r, p, q, f"homology {got} next page {want}"))
-    return bad
-
-
 # -- cellular complex and recovery ----------------------------------------------
 
 
@@ -453,28 +357,6 @@ def recover_homology(spec: SpectralSequence, cell: CellularComplex,
 
 
 # -- comparisons and reports -----------------------------------------------------
-
-
-def compare_filtrations(a: SpectralSequence, b: SpectralSequence) -> dict:
-    """Degreewise comparison of two filtrations of the same complex."""
-    if a.filtration.base != b.filtration.base:
-        raise ValueError("filtrations live on different complexes")
-    if a.modulus != b.modulus:
-        raise ValueError("filtrations use different coefficients")
-    niv_a = niveau_filtration(a)
-    niv_b = niveau_filtration(b)
-    out = {}
-    for n in range(max(a.top, b.top) + 1):
-        ha = niv_a.homology.get(n, (0, ()))
-        hb = niv_b.homology.get(n, (0, ()))
-        out[n] = {
-            "same_homology": ha == hb,
-            "graded_a": [niv_a.graded.get((p, n), (0, ()))
-                         for p in range(a.d_len + 1)],
-            "graded_b": [niv_b.graded.get((p, n), (0, ()))
-                         for p in range(b.d_len + 1)],
-        }
-    return out
 
 
 def _invariants_json(inv: tuple) -> list:

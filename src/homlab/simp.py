@@ -10,7 +10,6 @@ generates connecting maps and axiom instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
 EMPTY_NAME = "0"
@@ -515,7 +514,6 @@ def _inclusion(cx: SimplicialComplex) -> Dict[str, str]:
     return {v: v for v in cx.vertices}
 
 
-@dataclass(init=False)
 class DiagramBuilder:
     """A pair diagram built one declaration at a time.
 
@@ -530,20 +528,26 @@ class DiagramBuilder:
     returns the diagram.
     """
 
-    complexes: Dict[str, SimplicialComplex]
-    pairs: List[Tuple[str, str]]
-    edges: List[tuple]        # (name, src pair, tgt pair, vmap)
-    triples: List[tuple]      # (name, x, y, z)
-    squares: List[tuple]      # (name, x, u, v)
-    square_maps: List[tuple]  # (name, src square, tgt square, vmap)
-    prisms: List[Tuple[str, str]]
-    cubes: List[tuple]        # (name, src triple, tgt triple, vmap)
+    __slots__ = ("complexes", "pairs", "edges", "triples", "squares",
+                 "square_maps", "prisms", "cubes", "assembled")
 
     def __init__(self):
-        self.complexes = {EMPTY_NAME: SimplicialComplex.empty()}
-        self.pairs, self.edges, self.triples, self.squares = [], [], [], []
-        self.square_maps, self.prisms, self.cubes = [], [], []
+        self.complexes: Dict[str, SimplicialComplex] = \
+            {EMPTY_NAME: SimplicialComplex.empty()}
+        self.pairs: List[Tuple[str, str]] = []
+        self.edges: List[tuple] = []        # (name, src pair, tgt pair, vmap)
+        self.triples: List[tuple] = []      # (name, x, y, z)
+        self.squares: List[tuple] = []      # (name, x, u, v)
+        self.square_maps: List[tuple] = []  # (name, src square, tgt square, vmap)
+        self.prisms: List[Tuple[str, str]] = []
+        self.cubes: List[tuple] = []        # (name, src triple, tgt triple, vmap)
         self.assembled = PairDiagram(dict(self.complexes))
+
+    def __eq__(self, other):
+        if type(other) is not DiagramBuilder:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f)
+                   for f in self.__slots__[:-1])    # all but `assembled`
 
     def _get(self, name: str) -> SimplicialComplex:
         if name not in self.assembled.complexes:

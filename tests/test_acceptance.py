@@ -16,7 +16,6 @@ from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
 from homlab.cli import main
-from homlab.complexes import check_long_exact
 from homlab.dsl import parse, print_spec
 from homlab.fga import (
     CanonicalForm,
@@ -25,7 +24,6 @@ from homlab.fga import (
     IntMatrix,
     hom_concat,
     hom_stack,
-    is_exact_at,
     is_isomorphism,
     smith,
 )
@@ -53,6 +51,7 @@ from homlab.simp import (
     subcomplex,
 )
 
+from checks import check_long_exact, is_exact_at
 from test_dsl import CORPUS
 from test_endalg import rational_commutant_rank
 

@@ -1,6 +1,7 @@
 """Names that perfbench's tracer wraps or rebinds must stay where it looks
 for them, so dropping or moving one fails here and not only in a traced
-run; and the checks a benchmark run makes hold on each CLI workload."""
+run; the checks a benchmark run makes hold on each CLI workload; and the
+set-up it measures loads no module the package does not need."""
 
 import importlib
 import importlib.util
@@ -99,3 +100,26 @@ def test_benchmark_checks_hold(workload, bench_run, tmp_path):
                 is None, job.name
     assert [symbol for symbol, where in run.EXPECTED_CALLS.items()
             if workload in where and tr.calls[symbol] == 0] == []
+
+
+def test_start_up_loads_neither_dataclasses_nor_inspect(bench_run):
+    """A fresh interpreter that imports homlab.cli and parses the
+    `enumerate` workload's sequent file, as the set-up probe does, loads
+    neither `dataclasses` nor `inspect`, which `dataclasses` imports: with
+    bytecode writes off, the two and the modules they pull in cost every
+    run several milliseconds."""
+    fx = bench_run.workloads.fx
+    text = fx.cycle_diagram_file("sequent", False, fx.DEFAULT_SEED,
+                                 fx.CYCLE_SEQUENTS)
+    code = ("import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import homlab.cli\n"
+            "from homlab.dsl import parse\n"
+            "parse(sys.stdin.read())\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    probe = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(bench_run.SRC)], input=text,
+        capture_output=True, text=True, check=False,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout == "[]\n"

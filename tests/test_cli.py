@@ -504,6 +504,17 @@ def test_bad_flags_exit_two(tmp_path):
     assert main([str(src), "--flavor", "bogus"]) == 2
 
 
+def test_huge_modulus_exits_two(tmp_path, capsys):
+    """A carrier of more than sys.maxsize elements cannot be listed: the
+    run names the sort and its size on one error line, and exits 2."""
+    src = tmp_path / "in.hwb"
+    src.write_text("complex P = {v}\nvalidate\n")
+    assert main([str(src), "--coeff", "Zmod100000000000000000000"]) == 2
+    assert capsys.readouterr().err == (
+        "error: sort h0(P) has 100000000000000000000 elements, too many to "
+        "enumerate\n")
+
+
 def test_flag_echo(tmp_path):
     rc, report = _run(tmp_path, "complex P = {v}\nvalidate\n",
                       "--window", "0..1", "--flavor", "cd,core",

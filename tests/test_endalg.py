@@ -19,12 +19,12 @@ from homlab.fga import (
     GroupHom,
     IntMatrix,
     block_diag,
-    hom_image,
     kernel,
 )
 from homlab.model import HomologyModel
 from homlab.simp import DiagramBuilder, SimplicialComplex, skeleton
 
+from checks import hom_image
 from oracles import reference_commutant_lattice
 
 

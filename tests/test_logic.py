@@ -1,6 +1,6 @@
 import copy
-import dataclasses
 import itertools
+import pickle
 import random
 import re
 from collections import Counter
@@ -19,6 +19,7 @@ from homlab.logic import (
     FLAVORS,
     FiniteStructure,
     Neg,
+    Frozen,
     Sequent,
     Top,
     Var,
@@ -472,17 +473,45 @@ def test_check_sequent_errors():
                                    Eq(App("t.bt@0", Var("x")), Var("x"))))
 
 
+def test_records_compare_by_class_and_fields():
+    """Syntax nodes are frozen records: equal, with equal hashes, when
+    they are of one class with equal fields, and unequal across classes;
+    printed as their class and fields; built by position or keyword;
+    read-only; copied and pickled whole."""
+    x, y = Var("x"), Var("y")
+    p, q = Eq(x, y), Eq(y, x)
+    assert Add(x, y) == Add(Var("x"), Var("y"))
+    assert hash(Add(x, y)) == hash(Add(Var("x"), Var("y")))
+    assert Top() == Top() and hash(Top()) == hash(Top())
+    assert Var("x") != Zero("x")
+    assert Add(x, y) != Eq(x, y)
+    assert And(p, q) != Eq(p, q)
+    assert len({Var("x"), Zero("x"), Add(x, y), Eq(x, y)}) == 4
+    with pytest.raises(AttributeError):
+        Var("x").name = "y"
+    assert repr(App("f@0", Var("x"))) == "App(func='f@0', arg=Var(name='x'))"
+    assert Exists(var="z", sort="h0(X)", body=p) == Exists("z", "h0(X)", p)
+    assert Sequent(context=(("x", "h0(X)"),), antecedent=Top(),
+                   consequent=p) == Sequent((("x", "h0(X)"),), Top(), p)
+    diagram = interval_triple_diagram()
+    axiom = next(a for a in generate_axioms(
+        generate_signature(diagram, (0, 1)), diagram)
+        if isinstance(a.sequent.consequent, Exists))
+    for twin in (copy.deepcopy(axiom), pickle.loads(pickle.dumps(axiom))):
+        assert twin == axiom and hash(twin) == hash(axiom)
+        assert twin is not axiom and twin.sequent is not axiom.sequent
+
+
 def _rebuild(node, swap):
     """node with each subterm or subformula that swap(sub) replaces (by
     anything but None) replaced, in reading order."""
     new = swap(node)
     if new is not None:
         return new
-    if not dataclasses.is_dataclass(node):
+    if not isinstance(node, Frozen):
         return node
-    return dataclasses.replace(node, **{
-        f.name: _rebuild(getattr(node, f.name), swap)
-        for f in dataclasses.fields(node)})
+    return type(node)(*(_rebuild(getattr(node, f), swap)
+                        for f in node.__slots__))
 
 
 @pytest.mark.parametrize("make", [

@@ -2,8 +2,7 @@ import hashlib
 
 import pytest
 
-from homlab.complexes import check_long_exact
-from homlab.fga import GroupHom, hom_concat, hom_stack, is_exact_at, is_isomorphism
+from homlab.fga import GroupHom, hom_concat, hom_stack, is_isomorphism
 from homlab.model import HomologyModel, _restrict
 from homlab.simp import (
     EMPTY_NAME,
@@ -12,6 +11,8 @@ from homlab.simp import (
     skeleton,
     subcomplex,
 )
+
+from checks import check_long_exact, is_exact_at
 
 
 def triangle():
@@ -237,7 +238,7 @@ def test_restrict_checks_entries_outside_kept_simplices():
 
 def test_express_roundtrip():
     model = interval_triple_model()
-    reps = model.generator_reps(("X", "Y"), 1)
+    reps = model.entry(("X", "Y"), 1).reps
     assert reps.cols == 1
     coords = model.express(("X", "Y"), 1, reps.col(0))
     assert coords == (1,)

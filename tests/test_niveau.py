@@ -9,10 +9,7 @@ from homlab.niveau import (
     cellular_complex,
     check_cellularity,
     check_convergence,
-    compare_filtrations,
-    compare_first_page,
     niveau_filtration,
-    page_turn_mismatches,
     recover_homology,
     run_pages,
     spectral_summary,
@@ -25,6 +22,7 @@ from homlab.simp import (
     subcomplex,
 )
 
+from checks import compare_filtrations, compare_first_page, page_turn_mismatches
 from oracles import reference_pages
 
 
